@@ -260,7 +260,8 @@ def admissible_trace_for_n(n: int, tol) -> int | None:
     while True:
         census = enumerate_classes_by_trace(k)
         m_w = census.max_word_length
-        assert m_w == k - 1
+        if m_w != k - 1:
+            raise RuntimeError(f"longest word of trace <= {k} has length {m_w}, not {k - 1}")
         if m_w > n:
             break
         if theorem_bound_value(census.count, m_w, n) <= tol:

@@ -9,36 +9,46 @@ reversal (pairs reversed in order and swapped componentwise, which
 flips every turn).  The count Z_[w] is the number of cycle classes
 whose word lies in the word class [w].
 
-Three counters live here:
+So Z_[w] is the number of orbits of the dihedral group of order 2k on
+the closed pair sequences with a word in [w], and Burnside's lemma
+counts them.  No reversal fixes a pair sequence: it would have to fix
+a pair (s, e), forcing e = s, or swap two consecutive pairs, forcing
+partner(e) = e.  A rotation by r fixes the sequences of period
+d = gcd(r, k), which are closed d-step walks run k/d times.  All words
+of [w] share the period q of w, and all have the same fixed-point
+counts: rotating a word conjugates its step composition, and
+reverse-with-swap inverts it up to conjugation by partner.  With
+Fix(u) the number of fixed points of the step composition along u,
 
-* count_cycles: depth-first search over (start, turns) with necklace
-  pruning on the pair sequence; a closed sequence is counted when it
-  equals the lexicographic minimum of its full rotation/reversal
-  orbit, so every class is counted exactly once.  Authoritative.
+    Z_[w] = |[w]| * sum_{d | k, q | d} phi(k/d) * Fix(w[:d]) / (2k).
 
-* brute_force_counts: enumerates all 6N * 2^k raw sequences and
-  dedupes them with an explicitly listed orbit per closure.  Slow and
-  simple, kept as an independent cross-check.
+For a primitive word only d = k is left, so a class costs one
+fixed-point count.  class_count evaluates the formula, and
+count_vector and count_cycles are built on it.
 
-* count_vector fast path: for a primitive word w, no cycle has a
-  nontrivial orbit stabilizer (a stabilizer would force a label to be
-  matched with itself), so Z_[w] = class_size * F / (2|w|) where F is
-  the number of fixed points of the step-map composition along w.
-  Composition of step permutations is cheap, which is what makes
-  large Monte Carlo runs affordable.  Non-primitive classes fall back
-  to the search.
+brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
+them with an explicitly listed orbit per closure.  It is slow, simple
+and independent of the formula, and is kept as the reference that
+class_count is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from randsurf.gluing import Gluing, step_arrays, _next_arrays
-from randsurf.words import WordClass, canonicalize, check_word
+from randsurf.words import (
+    WordClass,
+    canonicalize,
+    enumerate_classes_by_length,
+    word_period,
+)
 
 MAX_CYCLE_LENGTH = 16
 
@@ -61,13 +71,86 @@ class SpectrumReport:
         return self.counts.get(canonicalize(word), 0)
 
 
-def _report(n: int, m: int, counts: dict[WordClass, int]) -> SpectrumReport:
-    lengths = [c.length for c, k in counts.items() if k > 0 and not c.parabolic]
+@lru_cache(maxsize=64)
+def _next_lists(n: int) -> dict[str, list[int]]:
+    """_next_arrays as lists keyed by turn, for the pure-python walks."""
+    left, right = _next_arrays(n)
+    return {"L": left.tolist(), "R": right.tolist()}
+
+
+def fixed_point_count(g: Gluing, word: str) -> int:
+    """Number of sides s with the word-long step walk returning to s.
+
+    word must be a nonempty word in L and R, such as a class's
+    canonical word; it is not checked here.
+    """
+    size = 6 * g.half_count
+    if size <= 48:
+        # pure python beats numpy on small gluings
+        partner = g.partner.tolist()
+        nxt = _next_lists(g.half_count)
+        fix = 0
+        for s0 in range(1, size + 1):
+            s = s0
+            for turn in word:
+                s = partner[nxt[turn][s]]
+            if s == s0:
+                fix += 1
+        return fix
+    step_l, step_r = step_arrays(g)
+    f = np.arange(size + 1)
+    for turn in word:
+        f = (step_l if turn == "L" else step_r)[f]
+    return int(np.count_nonzero(f[1:] == np.arange(1, size + 1)))
+
+
+def _totient(n: int) -> int:
+    return sum(1 for r in range(1, n + 1) if math.gcd(r, n) == 1)
+
+
+@lru_cache(maxsize=1 << 16)
+def _burnside_terms(canonical: str) -> tuple[tuple[str, int], ...]:
+    """(w[:d], phi(k/d)) for every d | k that the period q of w divides."""
+    k = len(canonical)
+    q = word_period(canonical)
+    return tuple(
+        (canonical[:d], _totient(k // d)) for d in range(q, k + 1, q) if k % d == 0
+    )
+
+
+def class_count(g: Gluing, cls: WordClass) -> int:
+    """Z_[w] through Burnside's lemma; one fixed-point count if w is primitive."""
+    total = 0
+    for prefix, weight in _burnside_terms(cls.canonical):
+        total += weight * fixed_point_count(g, prefix)
+    total *= cls.class_size
+    twice_k = 2 * cls.word_length
+    if total % twice_k:
+        raise ArithmeticError(
+            f"Burnside sum {total} for {cls.canonical} is not divisible by {twice_k}"
+        )
+    return total // twice_k
+
+
+def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
+    """Counts for the requested classes, in the requested order."""
+    return {c: class_count(g, c) for c in classes}
+
+
+def count_cycles(g: Gluing, m: int) -> SpectrumReport:
+    """Every cycle class of length <= m that occurs, with its count."""
+    _check_max_length(m)
+    counts = {}
+    for c in enumerate_classes_by_length(m):  # sorted by (length, canonical)
+        k = class_count(g, c)
+        if k:
+            counts[c] = k
+    lengths = [c.length for c in counts if not c.parabolic]
     return SpectrumReport(
-        half_count=n,
+        half_count=g.half_count,
         max_length=m,
-        counts=dict(sorted(counts.items())),
-        shortest_geodesic_length=min(lengths) if lengths else None,
+        counts=counts,
+        shortest_geodesic_length=min(lengths, default=None),
     )
 
 
@@ -76,91 +159,13 @@ def _reversal_codes(seq: Sequence[int], base: int) -> list[int]:
     return [(c % base) * base + c // base for c in reversed(seq)]
 
 
-def _canonical_cycle(seq: Sequence[int], base: int) -> tuple[int, ...]:
-    k = len(seq)
-    rev = _reversal_codes(seq, base)
-    best = tuple(seq)
-    for r in range(k):
-        for cand in (tuple(seq[r:]) + tuple(seq[:r]), tuple(rev[r:]) + tuple(rev[:r])):
-            if cand < best:
-                best = cand
-    return best
-
-
-def count_cycles(
-    g: Gluing, m: int, mirror_convention: bool = False
-) -> SpectrumReport:
-    """Count every cycle class of length <= m.
-
-    Cost grows like 6N * 2^m before pruning.  With mirror_convention
-    the Left/Right roles are exchanged, which mirrors every word.
-    """
-    _check_max_length(m)
-    n = g.half_count
-    base = 6 * n + 1
-    partner = g.partner.tolist()
-    nxt_l, nxt_r = (arr.tolist() for arr in _next_arrays(n))
-    if mirror_convention:
-        nxt_l, nxt_r = nxt_r, nxt_l
-    turn_next = (("L", nxt_l), ("R", nxt_r))
-
-    counts: dict[WordClass, int] = {}
-    seq: list[int] = []
-    turns: list[str] = []
-    # active[j] lists rotation offsets still tied with the prefix after
-    # seq[j] was placed; a strictly smaller rotation prunes the branch
-    active: list[list[int]] = []
-
-    def extend(s: int, depth: int, s0: int) -> None:
-        for turn, nxt in turn_next:
-            e = nxt[s]
-            code = s * base + e
-            if depth == 0:
-                survivors: list[int] = []
-            else:
-                prev = active[depth - 1]
-                survivors = []
-                smaller = False
-                for r in prev:
-                    ref = seq[depth - r]
-                    if code < ref:
-                        smaller = True
-                        break
-                    if code == ref:
-                        survivors.append(r)
-                if not smaller:
-                    ref = seq[0]
-                    if code < ref:
-                        smaller = True
-                    elif code == ref:
-                        survivors.append(depth)
-                if smaller:
-                    continue
-            seq.append(code)
-            turns.append(turn)
-            active.append(survivors)
-            nxt_s = partner[e]
-            if nxt_s == s0 and tuple(seq) == _canonical_cycle(seq, base):
-                cls = canonicalize("".join(turns))
-                counts[cls] = counts.get(cls, 0) + 1
-            if depth + 1 < m:
-                extend(nxt_s, depth + 1, s0)
-            seq.pop()
-            turns.pop()
-            active.pop()
-
-    for s0 in range(1, 6 * n + 1):
-        extend(s0, 0, s0)
-    return _report(n, m, counts)
-
-
 def brute_force_counts(g: Gluing, m: int) -> dict[WordClass, int]:
     """Independent reference counter: full enumeration, explicit orbits."""
     _check_max_length(m)
     n = g.half_count
     base = 6 * n + 1
     partner = g.partner.tolist()
-    nxt = {"L": _next_arrays(n)[0].tolist(), "R": _next_arrays(n)[1].tolist()}
+    nxt = _next_lists(n)
 
     counts: dict[WordClass, int] = {}
     seen: set[tuple[int, ...]] = set()
@@ -185,63 +190,3 @@ def brute_force_counts(g: Gluing, m: int) -> dict[WordClass, int]:
                 cls = canonicalize("".join(word))
                 counts[cls] = counts.get(cls, 0) + 1
     return counts
-
-
-def _compose_small(partner: list, nxt: dict, word: str, size: int) -> int:
-    """Fixed points of the step composition, pure-python (small gluings)."""
-    fix = 0
-    for s0 in range(1, size + 1):
-        s = s0
-        for turn in word:
-            s = partner[nxt[turn][s]]
-        if s == s0:
-            fix += 1
-    return fix
-
-
-def fixed_point_count(g: Gluing, word: str) -> int:
-    """Number of sides s with the word-long step walk returning to s."""
-    check_word(word)
-    n = g.half_count
-    if 6 * n <= 48:
-        partner = g.partner.tolist()
-        left, right = _next_arrays(n)
-        return _compose_small(
-            partner, {"L": left.tolist(), "R": right.tolist()}, word, 6 * n
-        )
-    step_l, step_r = step_arrays(g)
-    f = np.arange(6 * n + 1)
-    for turn in word:
-        f = (step_l if turn == "L" else step_r)[f]
-    return int(np.count_nonzero(f[1:] == np.arange(1, 6 * n + 1)))
-
-
-def class_count_primitive(g: Gluing, cls: WordClass) -> int:
-    """Z for a primitive class through the fixed-point identity."""
-    if not cls.primitive:
-        raise ValueError(f"class {cls.canonical} is not primitive")
-    fix = fixed_point_count(g, cls.canonical)
-    total = cls.class_size * fix
-    twice_k = 2 * cls.word_length
-    assert total % twice_k == 0, "orbit sizes of primitive-word cycles are full"
-    return total // twice_k
-
-
-def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
-    """Counts for the requested classes only, zero-filled.
-
-    Agrees with the restriction of count_cycles at the largest
-    requested length; primitive classes take the fast path.
-    """
-    out: dict[WordClass, int] = {}
-    laggards = [c for c in classes if not c.primitive]
-    for c in classes:
-        if c.word_length > MAX_CYCLE_LENGTH:
-            raise ValueError(f"class {c.canonical} longer than {MAX_CYCLE_LENGTH}")
-        if c.primitive:
-            out[c] = class_count_primitive(g, c)
-    if laggards:
-        full = count_cycles(g, max(c.word_length for c in laggards))
-        for c in laggards:
-            out[c] = full.counts.get(c, 0)
-    return {c: out[c] for c in classes}

@@ -116,7 +116,8 @@ def exact_joint_distribution(
         for i, v in enumerate(key):
             sums[i] += v
         total += 1
-    assert total == matching_count(n)
+    if total != matching_count(n):
+        raise RuntimeError(f"walked {total} gluings, expected {matching_count(n)}")
 
     joint_law = FiniteDistribution(
         dimension=len(classes),
@@ -198,12 +199,11 @@ def representation_check(word: str, n: int) -> RepresentationReport:
     by_rank: Counter = Counter()
     distinct = 0
     for sides in product(range(1, 6 * n + 1), repeat=k):
+        prob = containment_probability(sides, word, n)
         if len({triangle_of(s) for s in sides}) == k:
-            prob = containment_probability(sides, word, n)
-            assert prob == p_k_n(k, n), "distinct-triangle alpha must force k pairs"
+            if prob != p_k_n(k, n):
+                raise RuntimeError(f"distinct-triangle alpha {sides} must force {k} pairs")
             distinct += 1
-        else:
-            prob = containment_probability(sides, word, n)
         if prob:
             by_rank[prob] += 1
     for prob, cnt in by_rank.items():

@@ -16,6 +16,7 @@ a dummy slot 0 mapped to itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,12 +46,18 @@ def next_side(side: int, turn: str) -> int:
     return base + off + 1
 
 
+@lru_cache(maxsize=64)
 def _next_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """next_side as label-indexed arrays (slot 0 is a dummy)."""
+    """next_side as label-indexed arrays (slot 0 is a dummy).
+
+    Cached per N and shared by every caller, hence read-only.
+    """
     sides = np.arange(6 * n, dtype=np.int64)
     base = sides // 3 * 3
     left = np.concatenate(([0], base + (sides + 1) % 3 + 1))
     right = np.concatenate(([0], base + (sides + 2) % 3 + 1))
+    left.setflags(write=False)
+    right.setflags(write=False)
     return left, right
 
 
@@ -202,9 +209,11 @@ def topology(g: Gluing) -> TopologyReport:
 
     total_genus = 0
     for r, tri in triangles_in.items():
-        assert tri % 2 == 0, "component side count must be even"
+        if tri % 2:
+            raise RuntimeError(f"component with {tri} triangles has an odd side count")
         chi = cusps_in.get(r, 0) - tri // 2  # V - 3T/2 + T
-        assert chi <= 2 and chi % 2 == 0
+        if chi > 2 or chi % 2:
+            raise RuntimeError(f"component Euler characteristic {chi} is not even and <= 2")
         total_genus += (2 - chi) // 2
 
     cusp_count = len(degrees)

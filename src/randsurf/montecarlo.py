@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import class_count_primitive, count_cycles
+from randsurf.cycles import class_count
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
@@ -93,20 +93,10 @@ class Tallies:
 
 def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
     classes = plan.classes
-    primitive = [c for c in classes if c.primitive]
-    laggards = [c for c in classes if not c.primitive]
-    dfs_m = max((c.word_length for c in laggards), default=0)
     t = Tallies.zero(len(classes))
     for index in range(start, stop):
         g = sample_uniform_gluing(plan.half_count, plan.seed, index)
-        values: dict[WordClass, int] = {}
-        for c in primitive:
-            values[c] = class_count_primitive(g, c)
-        if laggards:
-            full = count_cycles(g, dfs_m).counts
-            for c in laggards:
-                values[c] = full.get(c, 0)
-        vec = tuple(values[c] for c in classes)
+        vec = tuple([class_count(g, c) for c in classes])
 
         t.samples += 1
         for i, v in enumerate(vec):

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from randsurf import cycles
 from randsurf.cycles import (
     MAX_CYCLE_LENGTH,
     brute_force_counts,
-    class_count_primitive,
+    class_count,
     count_cycles,
     count_vector,
     fixed_point_count,
 )
-from randsurf.gluing import sample_uniform_gluing
-from randsurf.words import canonicalize, enumerate_classes_by_length
+from randsurf.exact import enumerate_all_gluings
+from randsurf.gluing import Gluing, sample_uniform_gluing
+from randsurf.words import canonicalize, enumerate_classes_by_length, word_period
 
 
 def test_length_guard(torus_gluing):
@@ -52,12 +56,12 @@ def test_sphere_systole_estimate(sphere_gluing):
     )
 
 
-def test_dfs_equals_brute_force_on_goldens(torus_gluing, sphere_gluing):
+def test_count_cycles_equals_brute_force_on_goldens(torus_gluing, sphere_gluing):
     for g in (torus_gluing, sphere_gluing):
         assert count_cycles(g, 5).counts == brute_force_counts(g, 5)
 
 
-def test_dfs_equals_brute_force_fuzz():
+def test_count_cycles_equals_brute_force_fuzz():
     rng = np.random.default_rng(5)
     for _ in range(30):
         n = int(rng.integers(1, 7))
@@ -65,24 +69,57 @@ def test_dfs_equals_brute_force_fuzz():
         assert count_cycles(g, 5).counts == brute_force_counts(g, 5)
 
 
-def test_mirror_convention_mirrors_every_class():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        g = sample_uniform_gluing(int(rng.integers(1, 6)), seed=int(rng.integers(1 << 30)), index=0)
-        plain = count_cycles(g, 5).counts
-        flipped = count_cycles(g, 5, mirror_convention=True).counts
-        assert {c.mirror_class(): k for c, k in plain.items()} == dict(flipped)
+def test_count_cycles_equals_brute_force_on_every_n1_gluing():
+    for g in enumerate_all_gluings(1):
+        assert count_cycles(g, 8).counts == brute_force_counts(g, 8)
 
 
-def test_fixed_point_route_matches_dfs():
+def test_fixed_point_route_matches_brute_force():
     rng = np.random.default_rng(7)
     primitive = [c for c in enumerate_classes_by_length(5) if c.primitive]
     for _ in range(25):
         n = int(rng.integers(1, 11))
         g = sample_uniform_gluing(n, seed=int(rng.integers(1 << 30)), index=0)
-        full = count_cycles(g, 5).counts
+        ref = brute_force_counts(g, 5)
         for cls in primitive:
-            assert class_count_primitive(g, cls) == full.get(cls, 0), (n, cls)
+            assert class_count(g, cls) == ref.get(cls, 0), (n, cls)
+
+
+def _gluing_from_permutation(n: int, perm: list[int]) -> Gluing:
+    return Gluing.from_pairs(n, zip(perm[0::2], perm[1::2]))
+
+
+small_gluings = st.integers(1, 4).flatmap(
+    lambda n: st.permutations(range(1, 6 * n + 1)).map(
+        lambda perm: _gluing_from_permutation(n, perm)
+    )
+)
+CLASSES_UP_TO_7 = enumerate_classes_by_length(7)  # LL, LRLR, LLRLLR, ... included
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_gluings)
+def test_class_count_equals_brute_force_on_random_gluings(g):
+    ref = brute_force_counts(g, 7)
+    for cls in CLASSES_UP_TO_7:
+        assert class_count(g, cls) == ref.get(cls, 0), (g.pairs(), cls.canonical)
+
+
+def test_burnside_terms_weigh_every_rotation_once():
+    # the weights phi(k/d) count the rotations r with gcd(r, k) = d,
+    # and only rotations by multiples of the period q can fix anything
+    for cls in enumerate_classes_by_length(10):
+        terms = cycles._burnside_terms(cls.canonical)
+        k, q = cls.word_length, word_period(cls.canonical)
+        assert sum(weight for _, weight in terms) == k // q
+        assert terms[-1] == (cls.canonical, 1)
+        assert (len(terms) == 1) == cls.primitive
+
+
+def test_indivisible_burnside_sum_raises(monkeypatch, torus_gluing):
+    monkeypatch.setattr(cycles, "fixed_point_count", lambda g, word: 1)
+    with pytest.raises(ArithmeticError):
+        class_count(torus_gluing, canonicalize("LR"))
 
 
 def test_fixed_point_count_small_and_large_paths_agree():
@@ -94,7 +131,7 @@ def test_fixed_point_count_small_and_large_paths_agree():
             direct = fixed_point_count(g, word)
             cls = canonicalize(word)
             assert direct % 1 == 0
-            assert class_count_primitive(g, cls) * (2 * len(word)) == cls.class_size * direct
+            assert class_count(g, cls) * (2 * len(word)) == cls.class_size * direct
 
 
 def test_count_vector_handles_non_primitive_classes(torus_gluing):

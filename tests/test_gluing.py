@@ -6,6 +6,7 @@ from scipy import stats as spstats
 
 from randsurf.gluing import (
     Gluing,
+    _next_arrays,
     next_side,
     sample_uniform_gluing,
     step,
@@ -132,3 +133,12 @@ def test_connectivity_becomes_typical():
     high = connected_fraction(50, 300)
     assert high >= low
     assert high > 0.97
+
+
+def test_next_arrays_are_cached_and_read_only():
+    left, right = _next_arrays(3)
+    assert _next_arrays(3)[0] is left
+    assert [int(left[s]) for s in (1, 2, 3)] == [2, 3, 1]
+    assert [int(right[s]) for s in (1, 2, 3)] == [3, 1, 2]
+    with pytest.raises(ValueError):
+        right[1] = 0
