@@ -226,22 +226,15 @@ def main_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     return theorem_bound_value(len(classes), m_w, n)
 
 
+def _refined(sigma: dict[WordClass, SigmaSet], mode: str):
+    if not sigma:
+        return _conv_for(mode)(Fraction(0))
+    return _conv_for(mode)(3) * _sum_for(mode)([s.total for s in sigma.values()])
+
+
 def refined_mtv_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     """3 times the sum of all class-level sigma values."""
-    conv = _conv_for(mode)
-    if not classes:
-        return conv(Fraction(0))
-    add = _sum_for(mode)
-    per_class = sigma_bounds(classes, n, mode)
-    return conv(3) * add([s.total for s in per_class.values()])
-
-
-def univariate_bound_scale(lam) -> Fraction:
-    """min(1, 1/lam): the one-dimensional bound scales by this factor."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("rate must be positive")
-    return min(Fraction(1), 1 / lam)
+    return _refined(sigma_bounds(classes, n, mode), mode)
 
 
 def admissible_trace_for_n(n: int, tol) -> int | None:
@@ -306,7 +299,7 @@ _EXACT_LEN_LIMIT = 6
 def bound_report(classes: Sequence[WordClass], n: int) -> BoundReport:
     m_w, c_w = _check_class_set(classes, n)
     sigma = sigma_bounds(classes, n, mode="log")
-    refined = refined_mtv_bound(classes, n, mode="log")
+    refined = _refined(sigma, "log")
     main = main_bound(classes, n, mode="log")
     # the closed form is one integer power, always affordable exactly;
     # the refined sum is not, so its exact shadow is gated

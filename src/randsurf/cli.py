@@ -360,10 +360,6 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
-    if args.n > 3:
-        parser.error("exhaustive enumeration is gated at N <= 3")
-    if args.n == 3 and not args.allow_n3:
-        parser.error("N=3 walks 34 459 425 gluings; pass --allow-n3 to confirm")
     try:
         system = exact_joint_distribution(
             classes, args.n, dps=args.dps, allow_heavy=args.allow_n3
@@ -371,18 +367,18 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     except ValueError as exc:
         parser.error(str(exc))
 
-    atom_rows = []
-    for vec in sorted(system.joint_law.atoms):
-        p = system.joint_law.atoms[vec]
-        atom_rows.append(
-            {
-                "counts": ",".join(str(v) for v in vec),
-                "probability_exact": _exact(p),
-                "probability": _dec(p),
-            }
-        )
+    joint_rows = [
+        {
+            "counts": [int(v) for v in vec],
+            "probability_exact": _exact(p),
+            "probability": _dec(p),
+        }
+        for vec, p in sorted(system.joint_law.atoms.items())
+    ]
     if args.format == "csv":
-        _emit(_csv(atom_rows), args.out)
+        for row in joint_rows:
+            row["counts"] = ",".join(map(str, row["counts"]))
+        _emit(_csv(joint_rows), args.out)
         return
     per_class = []
     for c in system.classes:
@@ -405,14 +401,7 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         },
         "gluing_count": system.gluing_count,
         "per_class": per_class,
-        "joint_law": [
-            {
-                "counts": [int(v) for v in vec],
-                "probability_exact": _exact(system.joint_law.atoms[vec]),
-                "probability": _dec(system.joint_law.atoms[vec]),
-            }
-            for vec in sorted(system.joint_law.atoms)
-        ],
+        "joint_law": joint_rows,
         "mtv_vs_product_poisson": _dec(system.exact_mtv),
     }
     _emit(_json(payload), args.out)

@@ -5,32 +5,31 @@ wants: floats for Monte Carlo work, Fractions for exact laws coming
 out of exhaustive enumeration, mpmath floats when extra digits are
 needed.  Mixing is allowed wherever Python arithmetic allows it.
 
-Product-Poisson references are truncated to a finite grid; the mass
-left outside is recorded and treated worst-case by the distance, so a
-reported distance is an upper estimate of the true one.
+Product-Poisson references are evaluated on a prescribed support,
+usually that of the law they are compared with; the reference mass
+off that support is kept as an explicit tail_mass, so the distance
+to a law living on the support is the exact total variation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import mpmath
-
-TAIL_TOLERANCE = 1e-10
-_GRID_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Probability mass on finitely many integer vectors.
 
-    tail_mass is mass known to exist outside the listed atoms (from
-    truncation); sample_count is set for empirical laws and feeds the
-    standard-error formulas.
+    tail_mass is mass known to exist outside the listed atoms (a
+    reference law's mass off its support); sample_count is set for
+    empirical laws and feeds the standard-error formulas.
     """
 
     dimension: int
@@ -90,55 +89,6 @@ def _poisson_pmf_mp(lam, k: int):
     return mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
 
 
-def product_poisson(
-    lambdas: Sequence, truncation: int, precision: int | None = None
-) -> FiniteDistribution:
-    """Independent Poissons on the grid {0..truncation}^d.
-
-    precision, when given, is a number of mpmath decimal digits; the
-    default computes in double precision.  The truncation must leave
-    less than TAIL_TOLERANCE of the product mass outside the grid.
-    """
-    d = len(lambdas)
-    if d < 1:
-        raise ValueError("need at least one rate")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    if (truncation + 1) ** d > _GRID_LIMIT:
-        raise ValueError("truncation grid too large")
-
-    if precision is None:
-        tables = [[poisson_pmf(lam, k) for k in range(truncation + 1)] for lam in lambdas]
-        one = 1.0
-    else:
-        with mpmath.workdps(precision):
-            tables = [
-                [_poisson_pmf_mp(lam, k) for k in range(truncation + 1)]
-                for lam in lambdas
-            ]
-            one = mpmath.mpf(1)
-
-    covered = one
-    for table in tables:
-        covered = covered * math.fsum(table) if precision is None else covered * mpmath.fsum(table)
-    tail = one - covered
-    if tail > TAIL_TOLERANCE:
-        raise ValueError(
-            f"truncation {truncation} leaves tail mass {tail}, above {TAIL_TOLERANCE}"
-        )
-
-    atoms: dict[tuple[int, ...], object] = {}
-    grid = [()]
-    for table in tables:
-        grid = [vec + (k,) for vec in grid for k in range(truncation + 1)]
-    for vec in grid:
-        prob = one
-        for axis, k in enumerate(vec):
-            prob = prob * tables[axis][k]
-        atoms[vec] = prob
-    return FiniteDistribution(dimension=d, atoms=atoms, tail_mass=tail)
-
-
 def product_poisson_on(
     lambdas: Sequence, support: Iterable[tuple[int, ...]], precision: int | None = None
 ) -> FiniteDistribution:
@@ -153,13 +103,12 @@ def product_poisson_on(
     if d < 1:
         raise ValueError("need at least one rate")
 
-    def pmf(lam, k):
-        if precision is None:
-            return poisson_pmf(lam, k)
-        return _poisson_pmf_mp(lam, k)
-
     if precision is None:
-        one = 1.0
+        pmf, one, fsum, context = poisson_pmf, 1.0, math.fsum, contextlib.nullcontext()
+    else:
+        pmf, one, fsum = _poisson_pmf_mp, mpmath.mpf(1), mpmath.fsum
+        context = mpmath.workdps(precision)
+    with context:
         atoms: dict[tuple[int, ...], object] = {}
         for vec in support:
             vec = tuple(vec)
@@ -169,20 +118,7 @@ def product_poisson_on(
             for lam, k in zip(lambdas, vec):
                 prob = prob * pmf(lam, k)
             atoms[vec] = prob
-        tail = one - math.fsum(atoms.values())
-    else:
-        with mpmath.workdps(precision):
-            one = mpmath.mpf(1)
-            atoms = {}
-            for vec in support:
-                vec = tuple(vec)
-                if len(vec) != d:
-                    raise ValueError(f"support vector {vec} has wrong dimension")
-                prob = one
-                for lam, k in zip(lambdas, vec):
-                    prob = prob * pmf(lam, k)
-                atoms[vec] = prob
-            tail = one - mpmath.fsum(atoms.values())
+        tail = one - fsum(atoms.values())
     if tail < 0:
         tail = 0 * one  # roundoff guard
     return FiniteDistribution(dimension=d, atoms=atoms, tail_mass=tail)
@@ -246,14 +182,3 @@ def tv_standard_error(p: FiniteDistribution, q: FiniteDistribution) -> float:
         mean += w * c
         mean_sq += w * c * c
     return math.sqrt(max(0.0, mean_sq - mean * mean) / p.sample_count)
-
-
-def individual_probability_bound(
-    tv, vec: tuple[int, ...], lambdas: Sequence
-) -> tuple[float, float]:
-    """Interval for P[counts = vec] implied by a distance bound tv."""
-    prob = 1.0
-    for lam, k in zip(lambdas, vec, strict=True):
-        prob *= poisson_pmf(lam, k)
-    tv = float(tv)
-    return max(0.0, prob - 2 * tv), min(1.0, prob + 2 * tv)

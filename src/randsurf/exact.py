@@ -49,7 +49,8 @@ def _check_exhaustive_n(n: int, allow_heavy: bool) -> None:
         raise ValueError(f"exhaustive enumeration supports N <= {MAX_EXHAUSTIVE_N}")
     if n == MAX_EXHAUSTIVE_N and not allow_heavy:
         raise ValueError(
-            "N = 3 walks 34459425 gluings; pass allow_heavy=True to opt in"
+            "N = 3 walks 34459425 gluings; pass allow_heavy=True"
+            " (CLI: --allow-n3) to opt in"
         )
 
 

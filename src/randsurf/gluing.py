@@ -79,7 +79,11 @@ class Gluing:
         if p.shape != (6 * n + 1,):
             raise ValueError(f"partner array must have length {6 * n + 1}")
         labels = np.arange(6 * n + 1)
-        if p[0] != 0 or np.any(p[labels[1:]] == labels[1:]) or np.any(p[p] != labels):
+        try:
+            bad = p[0] != 0 or np.any(p[labels[1:]] == labels[1:]) or np.any(p[p] != labels)
+        except IndexError:  # entries out of range or not integers
+            bad = True
+        if bad:
             raise ValueError("partner must be a fixed-point-free involution on labels")
 
     @classmethod

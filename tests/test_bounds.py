@@ -14,7 +14,6 @@ from randsurf.bounds import (
     sigma_word_bounds,
     simplified_sigma_bounds,
     theorem_bound_value,
-    univariate_bound_scale,
 )
 from randsurf.words import canonicalize, enumerate_classes_by_trace
 
@@ -132,12 +131,6 @@ def test_duplicate_classes_rejected():
         sigma_bounds((lr, lr), 10)
 
 
-def test_univariate_scale():
-    assert univariate_bound_scale(Fraction(1, 2)) == 1
-    assert univariate_bound_scale(Fraction(1)) == 1
-    assert univariate_bound_scale(Fraction(4)) == Fraction(1, 4)
-
-
 def test_admissible_trace_examples():
     assert admissible_trace_for_n(10**6, 1) is None
     assert admissible_trace_for_n(10**12, 1) is None
@@ -160,6 +153,7 @@ def test_bound_report_exact_shadow_matches_log_values():
     classes = enumerate_classes_by_trace(5).classes
     report = bound_report(classes, 100)
     assert report.exact_refined is not None
+    assert report.refined == refined_mtv_bound(classes, 100, mode="log")
     assert report.refined.log10 == pytest.approx(
         math.log10(float(report.exact_refined)), abs=1e-10
     )

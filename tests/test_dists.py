@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from randsurf.dists import (
     FiniteDistribution,
     empirical_distribution,
-    individual_probability_bound,
     poisson_pmf,
-    product_poisson,
     product_poisson_on,
     tv_distance,
     tv_standard_error,
@@ -35,17 +33,14 @@ def test_distribution_validation():
 
 
 def test_marginals_of_a_product_grid():
-    joint = product_poisson([0.5, 1.0], truncation=25)
+    grid = [(i, j) for i in range(26) for j in range(26)]
+    joint = product_poisson_on([0.5, 1.0], grid)
     assert joint.dimension == 2
+    assert joint.tail_mass < 1e-10
     for axis, lam in ((0, 0.5), (1, 1.0)):
         marg = joint.marginal(axis)
         for k in range(6):
             assert marg.probability((k,)) == pytest.approx(poisson_pmf(lam, k), rel=1e-9)
-
-
-def test_product_poisson_tail_guard():
-    with pytest.raises(ValueError):
-        product_poisson([5.0], truncation=3)  # far too much mass outside
 
 
 def test_product_poisson_on_prescribed_support():
@@ -127,15 +122,6 @@ def test_tv_standard_error_bounds_and_hand_value():
     assert se == pytest.approx(math.sqrt((mean_sq - mean**2) / 4))
     with pytest.raises(ValueError):
         tv_standard_error(ref, emp)
-
-
-def test_individual_probability_bound_brackets_the_pmf():
-    lo, hi = individual_probability_bound(0.01, (0, 1), [0.5, 1.0])
-    point = poisson_pmf(0.5, 0) * poisson_pmf(1.0, 1)
-    assert lo <= point <= hi
-    assert hi - lo == pytest.approx(0.04)
-    lo, hi = individual_probability_bound(2.0, (0,), [0.5])
-    assert lo == 0.0 and hi == 1.0
 
 
 def test_empirical_law_approaches_exact_law(mc_n1):

@@ -31,6 +31,10 @@ def test_involution_validation():
         Gluing.from_pairs(1, [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         Gluing.from_pairs(1, [(1, 2), (1, 3), (5, 6)])
+    with pytest.raises(ValueError):  # partner out of range
+        Gluing(1, np.array([0, 2, 1, 4, 3, 6, 99]))
+    with pytest.raises(ValueError):  # not an integer array
+        Gluing(1, np.array([0, 2, 1, 4, 3, 6, 5], dtype=float))
 
 
 def test_pairs_round_trip(torus_gluing):

@@ -46,7 +46,7 @@ def test_tallies_match_a_direct_loop(lr, llr):
     assert tallies.joint == joint
 
 
-def test_non_primitive_classes_take_the_search_path():
+def test_run_plan_tallies_equal_count_vector_sums_with_non_primitive_classes():
     ll = canonicalize("LL")
     lrlr = canonicalize("LRLR")
     lr = canonicalize("LR")
