@@ -40,7 +40,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from randsurf.lognum import LogNumber
-from randsurf.words import WordClass, enumerate_classes_by_trace
+from randsurf.words import MAX_TRACE, WordClass, enumerate_classes_by_trace
 
 MODES = ("exact", "log")
 
@@ -238,10 +238,12 @@ def refined_mtv_bound(classes: Sequence[WordClass], n: int, mode: str = "exact")
 
 
 def admissible_trace_for_n(n: int, tol) -> int | None:
-    """Largest k with main_bound(W(k), N) <= tol, using the exact census.
+    """Largest k <= MAX_TRACE with main_bound(W(k), N) <= tol, by the exact census.
 
     Returns None when even k = 3 overshoots.  The bound grows rapidly
-    in k, so the search walks k upward and stops at the first failure.
+    in k, so the search walks k upward and stops at the first failure;
+    it also stops at MAX_TRACE, the largest trace the census covers, so
+    a huge N yields MAX_TRACE rather than the true (larger) maximum.
     """
     if n < 2:
         raise ValueError(f"N must be >= 2, got {n}")
@@ -249,19 +251,14 @@ def admissible_trace_for_n(n: int, tol) -> int | None:
     if not 0 < tol <= 1:
         raise ValueError(f"tolerance must be in (0, 1], got {tol}")
     best = None
-    k = 3
-    while True:
+    for k in range(3, MAX_TRACE + 1):
         census = enumerate_classes_by_trace(k)
         m_w = census.max_word_length
         if m_w != k - 1:
             raise RuntimeError(f"longest word of trace <= {k} has length {m_w}, not {k - 1}")
-        if m_w > n:
+        if m_w > n or theorem_bound_value(census.count, m_w, n) > tol:
             break
-        if theorem_bound_value(census.count, m_w, n) <= tol:
-            best = k
-            k += 1
-        else:
-            break
+        best = k
     return best
 
 

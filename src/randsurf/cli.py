@@ -90,7 +90,7 @@ def _csv(rows: list[dict]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# class selection shared by stats / bound / oracle
+# class selection shared by words / stats / bound / oracle
 
 
 def _parse_word_list(parser: argparse.ArgumentParser, text: str) -> tuple[WordClass, ...]:
@@ -153,17 +153,10 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_words(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.max_len is not None:
-        try:
-            classes = enumerate_classes_by_length(args.max_len)
-        except ValueError as exc:
-            parser.error(str(exc))
-        config = {"max_len": args.max_len}
+    classes = _resolve_classes(parser, args)
+    if args.max_word_len is not None:
+        config = {"max_len": args.max_word_len}
     else:
-        try:
-            classes = enumerate_classes_by_trace(args.max_trace).classes
-        except ValueError as exc:
-            parser.error(str(exc))
         config = {"max_trace": args.max_trace}
     records = [_class_record(c) for c in classes]
     if args.format == "csv":
@@ -420,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     words = sub.add_parser("words", help="enumerate word classes")
     sel = words.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--max-len", type=int, metavar="M")
+    sel.add_argument("--max-len", type=int, metavar="M", dest="max_word_len")
     sel.add_argument("--max-trace", type=int, metavar="K")
     _add_output(words)
     words.set_defaults(func=cmd_words)

@@ -107,16 +107,11 @@ def exact_joint_distribution(
         raise ValueError("use at least 50 digits for the exact distance")
 
     classes = tuple(classes)
-    law_counts: Counter = Counter()
-    sums = [0] * len(classes)
-    total = 0
-    for g in enumerate_all_gluings(n, allow_heavy=allow_heavy):
-        vec = count_vector(g, classes)
-        key = tuple(vec[c] for c in classes)
-        law_counts[key] += 1
-        for i, v in enumerate(key):
-            sums[i] += v
-        total += 1
+    law_counts = Counter(
+        tuple(count_vector(g, classes).values())
+        for g in enumerate_all_gluings(n, allow_heavy=allow_heavy)
+    )
+    total = sum(law_counts.values())
     if total != matching_count(n):
         raise RuntimeError(f"walked {total} gluings, expected {matching_count(n)}")
 
@@ -134,7 +129,10 @@ def exact_joint_distribution(
         gluing_count=total,
         classes=classes,
         joint_law=joint_law,
-        exact_means={c: Fraction(s, total) for c, s in zip(classes, sums)},
+        exact_means={
+            c: Fraction(sum(vec[i] * cnt for vec, cnt in law_counts.items()), total)
+            for i, c in enumerate(classes)
+        },
         exact_mtv=mtv,
     )
 

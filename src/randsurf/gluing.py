@@ -80,7 +80,7 @@ class Gluing:
             raise ValueError(f"partner array must have length {6 * n + 1}")
         labels = np.arange(6 * n + 1)
         try:
-            bad = p[0] != 0 or np.any(p[labels[1:]] == labels[1:]) or np.any(p[p] != labels)
+            bad = p[0] != 0 or (p[1:] == labels[1:]).any() or (p[p] != labels).any()
         except IndexError:  # entries out of range or not integers
             bad = True
         if bad:

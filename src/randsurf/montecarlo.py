@@ -1,9 +1,10 @@
 """Seeded Monte Carlo over gluings with reproducible parallelism.
 
-Sample i is always drawn from the stream keyed by (seed, i), and every
-accumulator is an integer (count sums, squared sums, cross products,
-joint histogram, topology tallies), so merged results do not depend on
-chunk scheduling.  Workers therefore change wall time, never output.
+Sample i is always drawn from the stream keyed by (seed, i).  The only
+accumulators are histograms of integer outcomes, merged in fixed chunk
+order, and ``summarize`` derives every reported sum from them, so
+results do not depend on chunk scheduling.  Workers therefore change
+wall time, never output.
 """
 
 from __future__ import annotations
@@ -49,75 +50,28 @@ class ExperimentPlan:
 
 @dataclass
 class Tallies:
-    samples: int = 0
-    count_sums: list[int] = field(default_factory=list)
-    square_sums: list[int] = field(default_factory=list)
-    # per unordered pair i < j: sum xy, x^2 y, x y^2, x^2 y^2
-    cross_sums: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    joint: Counter = field(default_factory=Counter)
-    connected: int = 0
-    component_sum: int = 0
-    genus_sum: int = 0
-    genus_square_sum: int = 0
-    cusp_sum: int = 0
-    cusp_square_sum: int = 0
+    """Histograms of per-sample outcomes, the only accumulators.
 
-    @classmethod
-    def zero(cls, width: int) -> "Tallies":
-        return cls(
-            count_sums=[0] * width,
-            square_sums=[0] * width,
-            cross_sums={
-                (i, j): [0, 0, 0, 0] for i in range(width) for j in range(i + 1, width)
-            },
-        )
+    joint counts class-count vectors; shapes counts (component_count,
+    total_genus, cusp_count) triples when topology is on.
+    """
+
+    joint: Counter = field(default_factory=Counter)
+    shapes: Counter = field(default_factory=Counter)
 
     def merge(self, other: "Tallies") -> None:
-        self.samples += other.samples
-        for i, v in enumerate(other.count_sums):
-            self.count_sums[i] += v
-        for i, v in enumerate(other.square_sums):
-            self.square_sums[i] += v
-        for key, vals in other.cross_sums.items():
-            mine = self.cross_sums[key]
-            for i, v in enumerate(vals):
-                mine[i] += v
         self.joint.update(other.joint)
-        self.connected += other.connected
-        self.component_sum += other.component_sum
-        self.genus_sum += other.genus_sum
-        self.genus_square_sum += other.genus_square_sum
-        self.cusp_sum += other.cusp_sum
-        self.cusp_square_sum += other.cusp_square_sum
+        self.shapes.update(other.shapes)
 
 
 def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
-    classes = plan.classes
-    t = Tallies.zero(len(classes))
+    t = Tallies()
     for index in range(start, stop):
         g = sample_uniform_gluing(plan.half_count, plan.seed, index)
-        vec = tuple([class_count(g, c) for c in classes])
-
-        t.samples += 1
-        for i, v in enumerate(vec):
-            t.count_sums[i] += v
-            t.square_sums[i] += v * v
-        for (i, j), acc in t.cross_sums.items():
-            x, y = vec[i], vec[j]
-            acc[0] += x * y
-            acc[1] += x * x * y
-            acc[2] += x * y * y
-            acc[3] += x * x * y * y
-        t.joint[vec] += 1
-
+        t.joint[tuple([class_count(g, c) for c in plan.classes])] += 1
         if plan.with_topology:
             top = topology(g)
-            t.connected += top.connected
-            t.component_sum += top.component_count
-            t.genus_sum += top.total_genus
-            t.genus_square_sum += top.total_genus**2
-            t.cusp_sum += top.cusp_count
-            t.cusp_square_sum += top.cusp_count**2
+            t.shapes[top.component_count, top.total_genus, top.cusp_count] += 1
     return t
 
 
@@ -127,16 +81,14 @@ def run_plan(plan: ExperimentPlan) -> Tallies:
         (start, min(start + CHUNK, plan.samples))
         for start in range(0, plan.samples, CHUNK)
     ]
-    total = Tallies.zero(len(plan.classes))
     if plan.workers == 1 or len(spans) == 1:
         parts = (_run_chunk(plan, a, b) for a, b in spans)
-        for part in parts:
-            total.merge(part)
-        return total
-    with multiprocessing.Pool(processes=plan.workers) as pool:
-        parts = pool.starmap(
-            _run_chunk, [(plan, a, b) for a, b in spans], chunksize=1
-        )
+    else:
+        with multiprocessing.Pool(processes=min(plan.workers, len(spans))) as pool:
+            parts = pool.starmap(
+                _run_chunk, [(plan, a, b) for a, b in spans], chunksize=1
+            )
+    total = Tallies()
     for part in parts:
         total.merge(part)
     return total
@@ -189,6 +141,31 @@ class StatsReport:
     topology: TopologySummary | None
 
 
+def _moment_sums(
+    hist: Counter, width: int
+) -> tuple[list[int], list[int], dict[tuple[int, int], list[int]]]:
+    """Coordinate sums, squared sums and per-pair cross sums of a histogram.
+
+    The per-sample accumulation run once per atom, weighted by its
+    multiplicity, so the totals equal those of a loop over the samples.
+    """
+    sums = [0] * width
+    squares = [0] * width
+    # per unordered pair i < j: sum xy, x^2 y, x y^2, x^2 y^2
+    cross = {(i, j): [0, 0, 0, 0] for i in range(width) for j in range(i + 1, width)}
+    for vec, w in hist.items():
+        for i, v in enumerate(vec):
+            sums[i] += w * v
+            squares[i] += w * v * v
+        for (i, j), acc in cross.items():
+            x, y = vec[i], vec[j]
+            acc[0] += w * x * y
+            acc[1] += w * x * x * y
+            acc[2] += w * x * y * y
+            acc[3] += w * x * x * y * y
+    return sums, squares, cross
+
+
 def _variance(total: int, total_sq: int, m: int) -> Fraction:
     if m < 2:
         return Fraction(0)
@@ -196,8 +173,9 @@ def _variance(total: int, total_sq: int, m: int) -> Fraction:
 
 
 def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
-    m = tallies.samples
+    m = sum(tallies.joint.values())
     classes = plan.classes
+    sums, squares, cross = _moment_sums(tallies.joint, len(classes))
     lambdas = [c.lam for c in classes]
     joint_emp = empirical_distribution(tallies.joint)
 
@@ -206,8 +184,8 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
         marg = joint_emp.marginal(i)
         max_count = max(vec[0] for vec in marg.atoms)
         ref = product_poisson_on([c.lam], marg.support())
-        mean = Fraction(tallies.count_sums[i], m)
-        var = _variance(tallies.count_sums[i], tallies.square_sums[i], m)
+        mean = Fraction(sums[i], m)
+        var = _variance(sums[i], squares[i], m)
         per_class.append(
             ClassSummary(
                 word_class=c,
@@ -221,9 +199,9 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
         )
 
     pairs = []
-    for (i, j), (sxy, sxxy, sxyy, sxxyy) in sorted(tallies.cross_sums.items()):
-        sx, sy = tallies.count_sums[i], tallies.count_sums[j]
-        sxx, syy = tallies.square_sums[i], tallies.square_sums[j]
+    for (i, j), (sxy, sxxy, sxyy, sxxyy) in cross.items():
+        sx, sy = sums[i], sums[j]
+        sxx, syy = squares[i], squares[j]
         cov = (
             Fraction(m * sxy - sx * sy, m * (m - 1)) if m > 1 else Fraction(0)
         )
@@ -254,16 +232,20 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
 
     topo = None
     if plan.with_topology:
-        genus_var = _variance(tallies.genus_sum, tallies.genus_square_sum, m)
-        cusp_var = _variance(tallies.cusp_sum, tallies.cusp_square_sum, m)
-        conn = Fraction(tallies.connected, m)
+        (components, genus, cusps), (_, genus_sq, cusp_sq), _ = _moment_sums(
+            tallies.shapes, 3
+        )
+        genus_var = _variance(genus, genus_sq, m)
+        cusp_var = _variance(cusps, cusp_sq, m)
+        connected = sum(w for shape, w in tallies.shapes.items() if shape[0] == 1)
+        conn = Fraction(connected, m)
         topo = TopologySummary(
             connected_fraction=conn,
             connected_se=math.sqrt(max(0.0, float(conn * (1 - conn))) / m),
-            mean_components=Fraction(tallies.component_sum, m),
-            mean_genus=Fraction(tallies.genus_sum, m),
+            mean_components=Fraction(components, m),
+            mean_genus=Fraction(genus, m),
             genus_se=math.sqrt(genus_var / m) if m > 1 else float("nan"),
-            mean_cusps=Fraction(tallies.cusp_sum, m),
+            mean_cusps=Fraction(cusps, m),
             cusps_se=math.sqrt(cusp_var / m) if m > 1 else float("nan"),
         )
 

@@ -139,6 +139,11 @@ def test_admissible_trace_examples():
     assert admissible_trace_for_n(10**27, 1) == 5
 
 
+def test_admissible_trace_stops_at_the_census_cap(monkeypatch):
+    monkeypatch.setattr("randsurf.bounds.MAX_TRACE", 5)
+    assert admissible_trace_for_n(10**300, 1) == 5
+
+
 def test_admissible_trace_tightens_with_tolerance():
     loose = admissible_trace_for_n(10**21, 1)
     tight = admissible_trace_for_n(10**21, Fraction(1, 10**6))

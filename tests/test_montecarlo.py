@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from randsurf.cycles import count_vector
-from randsurf.gluing import sample_uniform_gluing
+from randsurf.gluing import sample_uniform_gluing, topology
 from randsurf.montecarlo import (
     CHUNK,
     ExperimentPlan,
@@ -32,18 +32,18 @@ def test_tallies_match_a_direct_loop(lr, llr):
     )
     tallies = run_plan(plan)
 
-    sums = [0, 0]
     joint = Counter()
+    shapes = Counter()
     for i in range(plan.samples):
         g = sample_uniform_gluing(plan.half_count, plan.seed, i)
         vec = count_vector(g, plan.classes)
-        key = tuple(vec[c] for c in plan.classes)
-        joint[key] += 1
-        sums[0] += key[0]
-        sums[1] += key[1]
-    assert tallies.samples == plan.samples
-    assert tallies.count_sums == sums
+        joint[tuple(vec[c] for c in plan.classes)] += 1
+        top = topology(g)
+        shapes[top.component_count, top.total_genus, top.cusp_count] += 1
+    assert sum(tallies.joint.values()) == plan.samples
     assert tallies.joint == joint
+    assert tallies.shapes == shapes
+    assert list(vars(tallies)) == ["joint", "shapes"]
 
 
 def test_run_plan_tallies_equal_count_vector_sums_with_non_primitive_classes():
@@ -51,7 +51,12 @@ def test_run_plan_tallies_equal_count_vector_sums_with_non_primitive_classes():
     lrlr = canonicalize("LRLR")
     lr = canonicalize("LR")
     plan = ExperimentPlan(
-        half_count=2, classes=(ll, lr, lrlr), samples=30, seed=9, workers=1
+        half_count=2,
+        classes=(ll, lr, lrlr),
+        samples=30,
+        seed=9,
+        workers=1,
+        with_topology=False,
     )
     tallies = run_plan(plan)
     sums = [0, 0, 0]
@@ -60,7 +65,12 @@ def test_run_plan_tallies_equal_count_vector_sums_with_non_primitive_classes():
         vec = count_vector(g, plan.classes)
         for j, c in enumerate(plan.classes):
             sums[j] += vec[c]
-    assert tallies.count_sums == sums
+    hist_sums = [
+        sum(vec[j] * w for vec, w in tallies.joint.items()) for j in range(3)
+    ]
+    assert hist_sums == sums
+    assert not tallies.shapes  # topology off: no shape is tallied
+    assert summarize(plan, tallies).per_class[2].mean == Fraction(sums[2], 30)
 
 
 def test_worker_counts_agree_even_mid_chunk(lr):
@@ -103,7 +113,8 @@ def test_summary_shapes(lr, llr):
     plan = ExperimentPlan(
         half_count=10, classes=(lr, llr), samples=500, seed=21, workers=1
     )
-    report = summarize(plan, run_plan(plan))
+    tallies = run_plan(plan)
+    report = summarize(plan, tallies)
     assert len(report.per_class) == 2
     assert len(report.pairs) == 1
     pair = report.pairs[0]
@@ -114,32 +125,73 @@ def test_summary_shapes(lr, llr):
     assert report.bounds.refined_le_main
     assert report.topology is not None
     assert 0 <= float(report.topology.connected_fraction) <= 1
-    assert report.joint_support_size == len(
-        set(map(tuple, (tallies_key for tallies_key in run_plan(plan).joint)))
-    )
+    assert report.joint_support_size == len(tallies.joint)
 
 
 def test_topology_tallies_track_reports(lr):
     plan = ExperimentPlan(half_count=6, classes=(lr,), samples=50, seed=2, workers=1)
     tallies = run_plan(plan)
-    from randsurf.gluing import topology
+    tops = [topology(sample_uniform_gluing(6, 2, i)) for i in range(50)]
+    report = summarize(plan, tallies).topology
 
-    genus = sum(
-        topology(sample_uniform_gluing(6, 2, i)).total_genus for i in range(50)
+    assert sum(tallies.shapes.values()) == 50
+    assert report.mean_genus == Fraction(sum(t.total_genus for t in tops), 50)
+    assert report.mean_components == Fraction(sum(t.component_count for t in tops), 50)
+    assert report.connected_fraction == Fraction(sum(t.connected for t in tops), 50)
+
+
+def test_variance_uses_the_unbiased_denominator(lr, llr):
+    # at N = 3 these six samples vary in every coordinate and repeat the
+    # atom (1, 0) three times, so the histogram weights are exercised
+    plan = ExperimentPlan(
+        half_count=3, classes=(lr, llr), samples=6, seed=6, workers=1
     )
-    assert tallies.genus_sum == genus
-    assert tallies.connected <= 50
-
-
-def test_variance_uses_the_unbiased_denominator(lr):
-    plan = ExperimentPlan(half_count=1, classes=(lr,), samples=3, seed=6, workers=1)
     tallies = run_plan(plan)
     report = summarize(plan, tallies)
-    xs = []
-    for i in range(3):
-        g = sample_uniform_gluing(1, 6, i)
-        xs.append(count_vector(g, [lr])[lr])
-    mean = Fraction(sum(xs), 3)
-    var = sum((Fraction(x) - mean) ** 2 for x in xs) / 2
+    xs, ys, genus, cusps = [], [], [], []
+    for i in range(6):
+        g = sample_uniform_gluing(3, 6, i)
+        vec = count_vector(g, [lr, llr])
+        xs.append(vec[lr])
+        ys.append(vec[llr])
+        top = topology(g)
+        genus.append(top.total_genus)
+        cusps.append(top.cusp_count)
+    mean = Fraction(sum(xs), 6)
+    var = sum((Fraction(x) - mean) ** 2 for x in xs) / 5
+    mean_y = Fraction(sum(ys), 6)
+    cov = sum((x - mean) * (y - mean_y) for x, y in zip(xs, ys)) / 5
     assert report.per_class[0].mean == mean
     assert report.per_class[0].variance == var
+    assert report.pairs[0].covariance == cov
+    assert cov != 0 and len(set(genus)) > 1 and len(set(cusps)) > 1
+    assert report.topology.mean_genus == Fraction(sum(genus), 6)
+    assert report.topology.mean_cusps == Fraction(sum(cusps), 6)
+
+
+def test_pool_never_outnumbers_the_chunks(monkeypatch, lr):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs starmap in-process; starts no process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args, chunksize=1):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr("randsurf.montecarlo.multiprocessing.Pool", InlinePool)
+    plans = [
+        ExperimentPlan(half_count=3, classes=(lr,), samples=CHUNK + 44, seed=1, workers=w)
+        for w in (64, 1)
+    ]
+    pooled, serial = (run_plan(p) for p in plans)
+    assert sizes == [2]
+    assert pooled == serial
