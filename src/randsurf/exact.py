@@ -101,6 +101,8 @@ def exact_joint_distribution(
     _check_exhaustive_n(n, allow_heavy)
     if not classes:
         raise ValueError("need at least one class")
+    if len(set(classes)) != len(classes):  # count vectors are keyed by class
+        raise ValueError("duplicate classes")
     if max(c.word_length for c in classes) > MAX_EXACT_WORD_LENGTH:
         raise ValueError(f"exact system limited to words of length {MAX_EXACT_WORD_LENGTH}")
     if dps < 50:

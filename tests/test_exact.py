@@ -64,6 +64,8 @@ def test_exact_mtv_shrinks_from_n1_to_n2(lr):
 def test_precision_guard(lr):
     with pytest.raises(ValueError):
         exact_joint_distribution([lr], 1, dps=10)
+    with pytest.raises(ValueError, match="duplicate"):
+        exact_joint_distribution([lr, lr], 1)
 
 
 def test_containment_hand_values():
