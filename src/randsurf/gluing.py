@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -105,9 +105,6 @@ class Gluing:
                 out.append((s, t))
         return tuple(out)
 
-    def partner_of(self, side: int) -> int:
-        return int(self.partner[side])
-
 
 def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     """Uniform gluing from the stream determined by (seed, index).
@@ -158,74 +155,73 @@ class TopologyReport:
     cusp_degrees: tuple[int, ...]
 
 
-def _orbit_sizes(perm: np.ndarray, start: int) -> Iterator[tuple[int, int]]:
-    """(representative, orbit size) for each orbit of perm on start..len-1."""
-    n = len(perm)
-    seen = bytearray(n)
-    for s in range(start, n):
-        if seen[s]:
-            continue
-        size = 0
-        t = s
-        while not seen[t]:
-            seen[t] = 1
-            size += 1
-            t = int(perm[t])
-        yield s, size
-
-
 def topology(g: Gluing) -> TopologyReport:
     """Cusps, Euler characteristic, connectivity and genus of the surface.
 
+    Both passes are numpy array code, the same for every N.  Cusps are
+    the orbits of ``vertex_permutation``: each label learns the minimum
+    of its orbit by pointer doubling, and the labels that are their own
+    minimum represent the cusps.  Components
+    come from min-label propagation over the triangle adjacency, in the
+    style of Shiloach-Vishkin: every round hooks each root to the
+    smallest root next to its tree and shortcuts the forest to stars,
+    until no root has a smaller neighbour.
+
     Gluings are kept even when the surface is disconnected; the genus
     is then the sum of the per-component genera, each obtained from the
-    component Euler characteristic V - E + F = 2 - 2g.
+    component Euler characteristic V - E + F = 2 - 2g.  A component
+    with an odd triangle count, or with an Euler characteristic that is
+    odd or above 2, raises ``RuntimeError``.
     """
     n = g.half_count
-    v = vertex_permutation(g)
 
-    # connected components of the triangle adjacency, by union-find
-    root = list(range(2 * n + 1))
+    # orbit minima of the vertex permutation; 2^rounds > 6N >= any orbit
+    labels = np.arange(6 * n + 1)
+    low, jump = labels, vertex_permutation(g)
+    for _ in range((6 * n).bit_length()):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    cusp_reps = np.flatnonzero(low == labels)[1:]
+    degrees = np.bincount(low)[cusp_reps]
 
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
+    # root[t] <= t is the forest parent of triangle t; slot 0 is a dummy.
+    # neighbours[i, t - 1] is the triangle across side i of triangle t,
+    # laid out by side so that the minimum runs along contiguous rows.
+    root = np.arange(2 * n + 1)
+    neighbours = (g.partner[1:].reshape(2 * n, 3).T.copy() + 2) // 3
+    while True:
+        hook = root[neighbours].min(axis=0)
+        if (hook >= root[1:]).all():  # every edge stays inside a star
+            break
+        np.minimum.at(root, root[1:], hook)
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
-    for s in range(1, 6 * n + 1):
-        a = find(triangle_of(s))
-        b = find(triangle_of(int(g.partner[s])))
-        if a != b:
-            root[a] = b
+    triangles_in = np.bincount(root[1:], minlength=2 * n + 1)
+    cusps_in = np.bincount(root[(cusp_reps + 2) // 3], minlength=2 * n + 1)
+    is_root = triangles_in > 0
+    triangles_in, cusps_in = triangles_in[is_root], cusps_in[is_root]
+    odd = triangles_in % 2 == 1
+    if odd.any():
+        tri = int(triangles_in[odd][0])
+        raise RuntimeError(f"component with {tri} triangles has an odd side count")
+    chi = cusps_in - triangles_in // 2  # V - 3T/2 + T
+    bad = (chi > 2) | (chi % 2 == 1)
+    if bad.any():
+        raise RuntimeError(
+            f"component Euler characteristic {int(chi[bad][0])} is not even and <= 2"
+        )
 
-    triangles_in: dict[int, int] = {}
-    for t in range(1, 2 * n + 1):
-        r = find(t)
-        triangles_in[r] = triangles_in.get(r, 0) + 1
-
-    cusps_in: dict[int, int] = {}
-    degrees = []
-    for rep, size in _orbit_sizes(v, 1):
-        degrees.append(size)
-        r = find(triangle_of(rep))
-        cusps_in[r] = cusps_in.get(r, 0) + 1
-
-    total_genus = 0
-    for r, tri in triangles_in.items():
-        if tri % 2:
-            raise RuntimeError(f"component with {tri} triangles has an odd side count")
-        chi = cusps_in.get(r, 0) - tri // 2  # V - 3T/2 + T
-        if chi > 2 or chi % 2:
-            raise RuntimeError(f"component Euler characteristic {chi} is not even and <= 2")
-        total_genus += (2 - chi) // 2
-
-    cusp_count = len(degrees)
+    components = len(chi)
+    cusp_count = len(cusp_reps)
     return TopologyReport(
-        connected=len(triangles_in) == 1,
-        component_count=len(triangles_in),
+        connected=components == 1,
+        component_count=components,
         cusp_count=cusp_count,
         euler_characteristic=cusp_count - n,  # V - E + F = n - 3N + 2N
-        total_genus=total_genus,
-        cusp_degrees=tuple(sorted(degrees)),
+        total_genus=int((2 - chi).sum()) // 2,
+        cusp_degrees=tuple(np.sort(degrees).tolist()),
     )

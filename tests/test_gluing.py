@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
+from randsurf.exact import enumerate_all_gluings
 from randsurf.gluing import (
     Gluing,
+    TopologyReport,
     _next_arrays,
     next_side,
     sample_uniform_gluing,
@@ -14,6 +16,85 @@ from randsurf.gluing import (
     triangle_of,
     vertex_permutation,
 )
+
+
+def reference_topology(g: Gluing) -> TopologyReport:
+    """Union-find over triangles and a walk of every vertex orbit.
+
+    The loop version that ``topology``'s array code replaced, kept as
+    the independent reference it is checked against.
+    """
+    n = g.half_count
+    v = vertex_permutation(g)
+
+    root = list(range(2 * n + 1))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for s in range(1, 6 * n + 1):
+        a = find(triangle_of(s))
+        b = find(triangle_of(int(g.partner[s])))
+        if a != b:
+            root[a] = b
+
+    triangles_in = Counter(find(t) for t in range(1, 2 * n + 1))
+
+    cusps_in: Counter = Counter()
+    degrees = []
+    seen = bytearray(6 * n + 1)
+    for rep in range(1, 6 * n + 1):
+        if seen[rep]:
+            continue
+        size = 0
+        t = rep
+        while not seen[t]:
+            seen[t] = 1
+            size += 1
+            t = int(v[t])
+        degrees.append(size)
+        cusps_in[find(triangle_of(rep))] += 1
+
+    total_genus = 0
+    for r, tri in triangles_in.items():
+        assert tri % 2 == 0
+        chi = cusps_in[r] - tri // 2  # V - 3T/2 + T
+        assert chi <= 2 and chi % 2 == 0
+        total_genus += (2 - chi) // 2
+
+    return TopologyReport(
+        connected=len(triangles_in) == 1,
+        component_count=len(triangles_in),
+        cusp_count=len(degrees),
+        euler_characteristic=len(degrees) - n,
+        total_genus=total_genus,
+        cusp_degrees=tuple(sorted(degrees)),
+    )
+
+
+def side_by_side(blocks) -> Gluing:
+    """Disjoint union of gluings, block k relabelled after blocks 0..k-1."""
+    pairs, offset = [], 0
+    for g in blocks:
+        pairs += [(a + offset, b + offset) for a, b in g.pairs()]
+        offset += 6 * g.half_count
+    return Gluing.from_pairs(offset // 6, pairs)
+
+
+def chain_gluing(n: int) -> Gluing:
+    """Side 3 of triangle t glued to side 1 of triangle t+1: a path of 2N triangles.
+
+    The two end triangles glue their spare sides to themselves and the
+    middle ones pair up their second sides with a path neighbour, so
+    the adjacency stays a path of diameter 2N - 1.
+    """
+    pairs = [(3 * t, 3 * t + 1) for t in range(1, 2 * n)]
+    pairs += [(1, 2), (6 * n - 1, 6 * n)]
+    pairs += [(3 * t - 1, 3 * t + 2) for t in range(2, 2 * n - 1, 2)]
+    return Gluing.from_pairs(n, pairs)
 
 
 def test_side_navigation():
@@ -39,8 +120,6 @@ def test_involution_validation():
 
 def test_pairs_round_trip(torus_gluing):
     assert torus_gluing.pairs() == ((1, 4), (2, 5), (3, 6))
-    assert torus_gluing.partner_of(1) == 4
-    assert torus_gluing.partner_of(4) == 1
 
 
 def test_step_goldens(torus_gluing, sphere_gluing):
@@ -116,6 +195,7 @@ def test_topology_invariants_fuzz():
         n = int(rng.integers(1, 30))
         g = sample_uniform_gluing(n, seed=int(rng.integers(1 << 30)), index=0)
         report = topology(g)
+        assert report == reference_topology(g)
         assert report.euler_characteristic == report.cusp_count - n
         assert sum(report.cusp_degrees) == 6 * n
         assert report.component_count >= 1
@@ -123,6 +203,65 @@ def test_topology_invariants_fuzz():
         if report.connected:
             assert (n - report.cusp_count) % 2 == 0
             assert report.total_genus == (2 + n - report.cusp_count) // 2
+
+
+def test_topology_matches_the_reference_on_every_small_gluing():
+    # all 15 + 10395 gluings at N = 1 and 2, disconnected ones included
+    disconnected = 0
+    for n in (1, 2):
+        for g in enumerate_all_gluings(n):
+            report = topology(g)
+            assert report == reference_topology(g)
+            disconnected += not report.connected
+    assert disconnected > 0
+
+
+def test_topology_of_side_by_side_copies(torus_gluing, sphere_gluing):
+    tori = side_by_side([torus_gluing] * 500)
+    report = topology(tori)
+    assert report == reference_topology(tori)
+    assert report.component_count == 500
+    assert report.total_genus == 500
+    assert report.cusp_degrees == (6,) * 500
+    assert not report.connected
+
+    mix = side_by_side([torus_gluing, sphere_gluing, sphere_gluing, torus_gluing] * 25)
+    report = topology(mix)
+    assert report == reference_topology(mix)
+    assert report.component_count == 100
+    assert report.total_genus == 50
+    assert report.cusp_count == 50 * 1 + 50 * 3
+    assert report.cusp_degrees == (1,) * 100 + (4,) * 50 + (6,) * 50
+
+
+def test_topology_of_a_long_chain():
+    # the path of 20000 triangles is the worst case for label propagation
+    g = chain_gluing(10_000)
+    report = topology(g)
+    assert report == reference_topology(g)
+    assert report.connected
+
+
+def test_topology_fields_are_python_scalars(torus_gluing):
+    # shapes histogram keys feed exact integer sums: no numpy scalar may leak
+    for g in (torus_gluing, sample_uniform_gluing(40, seed=3, index=0)):
+        report = topology(g)
+        assert type(report.connected) is bool
+        for name in ("component_count", "cusp_count", "euler_characteristic", "total_genus"):
+            assert type(getattr(report, name)) is int, name
+        assert type(report.cusp_degrees) is tuple
+        assert all(type(d) is int for d in report.cusp_degrees)
+
+
+def test_topology_invariant_errors_raise(torus_gluing, monkeypatch):
+    # neither can happen on a real gluing, so break the inputs topology reads
+    broken = Gluing.from_pairs(1, [(1, 2), (4, 5), (3, 6)])
+    object.__setattr__(broken, "partner", np.array([0, 2, 1, 3, 5, 4, 6]))
+    with pytest.raises(RuntimeError, match="odd side count"):
+        topology(broken)
+    monkeypatch.setattr("randsurf.gluing.vertex_permutation", lambda g: np.arange(7))
+    with pytest.raises(RuntimeError, match="Euler characteristic 5"):
+        topology(torus_gluing)
 
 
 def test_connectivity_becomes_typical():
