@@ -26,17 +26,23 @@ and is dominated by the closed form
 
   main = 18 |W|^3 (6 m_W)^(3 m_W + 4) / N.
 
-Everything in sight is a rational number, so each quantity can be
-evaluated exactly with Fractions or on log-magnitudes; the two modes
-are kept in lockstep by writing each formula once over a conversion
-hook.  Bounds only hold under m_W <= N, enforced as a hard error.
+Everything in sight is a rational number.  The word-level sums depend
+on a class only through |w|, so they are evaluated exactly once per
+distinct word length in W: the p's factor out of the inner sums, the
+(j, k) double sum collapses onto j + k, and each sigma is one integer
+over a common denominator.  Log mode (LogNumber) is a view of these
+exact values, not a second evaluation.  Bounds only hold under
+m_W <= N, enforced as a hard error.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, perm
+from operator import mul
 from typing import Callable, Sequence
 
 from randsurf.lognum import LogNumber
@@ -59,26 +65,15 @@ def a_k_n(k: int, n: int) -> int:
     """Number of k-step side sequences through k distinct triangles."""
     if not 0 <= k <= 2 * n:
         raise ValueError(f"need 0 <= k <= 2N, got k={k}, N={n}")
-    out = 3**k
-    for j in range(k):
-        out *= 2 * n - j
-        if out == 0:
-            return 0
-    return out
+    return 3**k * perm(2 * n, k)
 
 
-def _conv_for(mode: str) -> Callable:
+def _viewer(mode: str) -> Callable:
     if mode == "exact":
-        return lambda v: v if isinstance(v, Fraction) else Fraction(v)
+        return lambda v: v
     if mode == "log":
-        return LogNumber.convert
+        return LogNumber
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _sum_for(mode: str) -> Callable:
-    if mode == "log":
-        return LogNumber.sum
-    return lambda terms: sum(terms, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -90,61 +85,61 @@ class SigmaSet:
 
     @property
     def total(self):
-        return self.s1 + self.s2 + self.s3 + self.s4
+        parts = (self.s1, self.s2, self.s3, self.s4)
+        if isinstance(self.s1, LogNumber):
+            return LogNumber(sum(x.value for x in parts))
+        return sum(parts)
+
+    def view(self, viewer: Callable) -> "SigmaSet":
+        return SigmaSet(viewer(self.s1), viewer(self.s2), viewer(self.s3), viewer(self.s4))
 
 
-def _sigma_word(cls: WordClass, lengths: Sequence[int], m_w: int, n: int, mode: str) -> SigmaSet:
-    conv = _conv_for(mode)
-    add = _sum_for(mode)
-    m = cls.word_length
+def _word_sigmas(classes: Sequence[WordClass], n: int) -> dict[int, SigmaSet]:
+    """Exact word-level sigma values for each distinct length in W.
 
-    terms = [conv(a_k_n(m, n)) * conv(p_k_n(m, n)) ** 2]
-    for i in range(1, m - 1):
-        coef = 3**i * (m - i) ** m * a_k_n(m - i, n)
-        terms.append(conv(coef) * conv(p_k_n(m - i, n)) ** 2)
-    s1 = add(terms)
-
-    terms = []
-    p_m = p_k_n(m, n)
-    for mp in lengths:
-        pp = conv(p_m * p_k_n(mp, n))
-        for i in range(1, 2 * m + 1):
-            for j in range(m + 1):
-                for k in range(mp + 1):
-                    idx = m + mp - i - j - k
-                    if idx < 0:
-                        continue
-                    coef = comb(2 * m, i) * 3 ** (i + j + k) * (m - j) ** m * (mp - k) ** mp
-                    if coef == 0:
-                        continue
-                    terms.append(conv(coef * a_k_n(idx, n)) * pp)
-    s2 = add(terms)
-
-    terms = []
-    for mp in lengths:
-        for i in range(1, m + 1):
-            p_factor = conv(p_k_n(m + mp - i, n))
-            for j in range(m + 1):
-                for k in range(mp + 1):
-                    idx = m + mp - i - j - k - 1
-                    if idx < 0:
-                        continue
-                    coef = comb(m, i) * 3 ** (i + j + k) * (m - j) ** m * (mp - k) ** mp
-                    if coef == 0:
-                        continue
-                    terms.append(conv(coef * a_k_n(idx, n)) * p_factor)
-    s3 = add(terms)
-
-    base = add([conv(a_k_n(mp, n) * p_k_n(mp, n)) for mp in lengths])
-    extra = add(
-        [
-            conv(3**i * (m - i) ** m * a_k_n(m - i, n) * p_k_n(m - i, n))
-            for i in range(1, m - 1)
+    p_{k,N} = 1/P_k with P_k = (6N-1)(6N-3)...(6N-2k+1), and every sum
+    index stays below 2 m_W <= 2N.  With D = P_{2 m_W - 1}, each
+    q_k = D/P_k is an integer, so every sigma is one integer sum over a
+    product of D's and P's.
+    """
+    m_w, _ = _check_class_set(classes, n)
+    lengths = Counter(c.word_length for c in classes)
+    a = [a_k_n(k, n) for k in range(2 * m_w)]
+    big_p = list(accumulate((6 * n - 2 * j + 1 for j in range(1, 2 * m_w)), mul, initial=1))
+    d = big_p[-1]
+    q = [d // x for x in big_p]
+    base = sum(count * a[mp] * q[mp] for mp, count in lengths.items())
+    out = {}
+    for m in lengths:
+        # (coefficient, index) of 3^i (m-i)^m a_{m-i}, 1 <= i <= m-2
+        corrections = [(3**i * (m - i) ** m * a[m - i], m - i) for i in range(1, m - 1)]
+        s1 = a[m] * q[m] ** 2 + sum(coef * q[k] ** 2 for coef, k in corrections)
+        extra = sum(coef * q[k] for coef, k in corrections)
+        # b[r] = sum over i of C(2m, i) 3^i a_{r-i}, so sigma2's sums over
+        # i and t = j + k are sum_t conv[t] b[m + m' - t]
+        b = [
+            sum(comb(2 * m, i) * 3**i * a[r - i] for i in range(1, min(2 * m, r) + 1))
+            for r in range(2 * m_w + 1)
         ]
-    )
-    s4 = conv(Fraction(m_w**2, n)) * (base + extra) ** 2
-
-    return SigmaSet(s1, s2, s3, s4)
+        s2 = s3 = 0
+        for mp, count in lengths.items():
+            # conv[t] = sum over j + k = t of 3^t (m-j)^m (m'-k)^m'; j = m or
+            # k = m' gives a zero power, so t < m + m' - 1
+            conv = [0] * (m + mp - 1)
+            for j in range(m):
+                for k in range(mp):
+                    conv[j + k] += 3 ** (j + k) * (m - j) ** m * (mp - k) ** mp
+            s2 += count * q[mp] * sum(c * b[m + mp - t] for t, c in enumerate(conv))
+            for i in range(1, m + 1):
+                i3 = sum(c * a[m + mp - i - t - 1] for t, c in enumerate(conv[: m + mp - i]))
+                s3 += count * comb(m, i) * 3**i * q[m + mp - i] * i3
+        out[m] = SigmaSet(
+            Fraction(s1, d * d),
+            Fraction(s2, d * big_p[m]),
+            Fraction(s3, d),
+            Fraction(m_w**2 * (base + extra) ** 2, n * d * d),
+        )
+    return out
 
 
 def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple[int, int]:
@@ -161,33 +156,30 @@ def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple[int, int]:
     return m_w, c_w
 
 
+def _class_sigmas(classes: Sequence[WordClass], n: int) -> dict[WordClass, SigmaSet]:
+    word = _word_sigmas(classes, n)
+    out = {}
+    for c in classes:
+        w, lam = word[c.word_length], c.lam
+        out[c] = SigmaSet(lam * w.s1, lam * lam * w.s2, lam * lam * w.s3, lam * lam * w.s4)
+    return out
+
+
 def sigma_bounds(
     classes: Sequence[WordClass], n: int, mode: str = "exact"
 ) -> dict[WordClass, SigmaSet]:
     """Class-level sigma values: sigma1 scales by lam, the rest by lam^2."""
-    m_w, _ = _check_class_set(classes, n)
-    conv = _conv_for(mode)
-    lengths = [c.word_length for c in classes]
-    out = {}
-    for c in classes:
-        word_level = _sigma_word(c, lengths, m_w, n, mode)
-        lam = conv(c.lam)
-        out[c] = SigmaSet(
-            lam * word_level.s1,
-            lam * lam * word_level.s2,
-            lam * lam * word_level.s3,
-            lam * lam * word_level.s4,
-        )
-    return out
+    viewer = _viewer(mode)
+    return {c: s.view(viewer) for c, s in _class_sigmas(classes, n).items()}
 
 
 def sigma_word_bounds(
     classes: Sequence[WordClass], n: int, mode: str = "exact"
 ) -> dict[WordClass, SigmaSet]:
     """Unscaled per-representative sigma values (before the lam factors)."""
-    m_w, _ = _check_class_set(classes, n)
-    lengths = [c.word_length for c in classes]
-    return {c: _sigma_word(c, lengths, m_w, n, mode) for c in classes}
+    viewer = _viewer(mode)
+    word = _word_sigmas(classes, n)
+    return {c: word[c.word_length].view(viewer) for c in classes}
 
 
 def simplified_sigma_bounds(classes: Sequence[WordClass], n: int) -> SigmaSet:
@@ -212,29 +204,19 @@ def theorem_bound_value(card: int, m_w: int, n: int) -> Fraction:
 
 def main_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     """Closed-form distance bound 18 |W|^3 (6 m_W)^(3 m_W + 4) / N."""
+    viewer = _viewer(mode)
     m_w, _ = _check_class_set(classes, n)
-    conv = _conv_for(mode)
-    if not classes:
-        return conv(Fraction(0))
-    if mode == "log":
-        # avoid the astronomically large integer power
-        return (
-            LogNumber.from_int(18 * len(classes) ** 3)
-            * LogNumber.from_int(6 * m_w) ** (3 * m_w + 4)
-            / LogNumber.from_int(n)
-        )
-    return theorem_bound_value(len(classes), m_w, n)
+    return viewer(theorem_bound_value(len(classes), m_w, n))
 
 
-def _refined(sigma: dict[WordClass, SigmaSet], mode: str):
-    if not sigma:
-        return _conv_for(mode)(Fraction(0))
-    return _conv_for(mode)(3) * _sum_for(mode)([s.total for s in sigma.values()])
+def _refined(sigma: dict[WordClass, SigmaSet]) -> Fraction:
+    return 3 * sum((s.total for s in sigma.values()), Fraction(0))
 
 
 def refined_mtv_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     """3 times the sum of all class-level sigma values."""
-    return _refined(sigma_bounds(classes, n, mode), mode)
+    viewer = _viewer(mode)
+    return viewer(_refined(_class_sigmas(classes, n)))
 
 
 def admissible_trace_for_n(n: int, tol) -> int | None:
@@ -269,7 +251,7 @@ class BoundReport:
     card: int
     m_w: int
     c_w: int
-    sigma: dict[WordClass, SigmaSet]  # LogNumber values
+    sigma: dict[WordClass, SigmaSet]  # LogNumber views of the exact values
     refined: LogNumber
     main: LogNumber
     exact_refined: Fraction | None
@@ -288,31 +270,28 @@ class BoundReport:
         return min(1.0, self.main.to_float())
 
 
-# exact shadows stay affordable in this corner of parameter space
+# reports carry the exact refined Fraction only in this corner of
+# parameter space, where its digits stay short; the value is computed
+# for every report, so the gate sets the format, not the cost
 _EXACT_N_LIMIT = 1000
 _EXACT_LEN_LIMIT = 6
 
 
 def bound_report(classes: Sequence[WordClass], n: int) -> BoundReport:
     m_w, c_w = _check_class_set(classes, n)
-    sigma = sigma_bounds(classes, n, mode="log")
-    refined = _refined(sigma, "log")
-    main = main_bound(classes, n, mode="log")
-    # the closed form is one integer power, always affordable exactly;
-    # the refined sum is not, so its exact shadow is gated
-    exact_main = main_bound(classes, n, mode="exact") if classes else None
-    exact_refined = None
-    if classes and n <= _EXACT_N_LIMIT and m_w <= _EXACT_LEN_LIMIT:
-        exact_refined = refined_mtv_bound(classes, n, mode="exact")
+    sigma = _class_sigmas(classes, n)
+    refined = _refined(sigma)
+    main = theorem_bound_value(len(classes), m_w, n)
+    shown = classes and n <= _EXACT_N_LIMIT and m_w <= _EXACT_LEN_LIMIT
     return BoundReport(
         half_count=n,
         classes=tuple(classes),
         card=len(classes),
         m_w=m_w,
         c_w=c_w,
-        sigma=sigma,
-        refined=refined,
-        main=main,
-        exact_refined=exact_refined,
-        exact_main=exact_main,
+        sigma={c: s.view(LogNumber) for c, s in sigma.items()},
+        refined=LogNumber(refined),
+        main=LogNumber(main),
+        exact_refined=refined if shown else None,
+        exact_main=main if classes else None,
     )

@@ -1,10 +1,13 @@
-"""Nonnegative numbers carried by the natural log of their magnitude.
+"""Log-scale views of exact nonnegative rationals.
 
 The explicit error bounds blow past double precision quickly (the
-leading factor is (6m)^(3m+4), already ~1e212 at m = 30), so bound
-arithmetic happens on log-magnitudes.  Only nonnegative values occur
-in the formulas, which keeps the representation to a log and a zero
-flag.  Sums go through a max-factored compensated accumulation.
+leading factor is (6m)^(3m+4), already ~1e212 at m = 30), so reports
+give each bound as its base-10 logarithm next to its double value.  A
+LogNumber wraps one exact nonnegative Fraction and derives both views
+from it: log10 after shifting the value by a power of two to a
+mantissa near 1, so huge numerators and denominators cost no digits,
+and the double by correctly rounded conversion, infinite past the
+double range.  Ordering compares the Fractions exactly.
 """
 
 from __future__ import annotations
@@ -12,132 +15,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-_LOG10 = math.log(10.0)
+_LOG10_2 = math.log10(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LogNumber:
-    ln: float
-    zero: bool = False
+    value: Fraction
 
-    # constructors ---------------------------------------------------
-    @classmethod
-    def from_int(cls, v: int) -> "LogNumber":
-        if v < 0:
+    def __post_init__(self) -> None:
+        value = Fraction(self.value)
+        if value < 0:
             raise ValueError("LogNumber is nonnegative")
-        if v == 0:
-            return cls(0.0, zero=True)
-        return cls(math.log(v))
+        object.__setattr__(self, "value", value)
 
-    @classmethod
-    def from_fraction(cls, v: Fraction) -> "LogNumber":
-        if v < 0:
-            raise ValueError("LogNumber is nonnegative")
-        if v == 0:
-            return cls(0.0, zero=True)
-        return cls(math.log(v.numerator) - math.log(v.denominator))
-
-    @classmethod
-    def from_float(cls, v: float) -> "LogNumber":
-        if v < 0:
-            raise ValueError("LogNumber is nonnegative")
-        if v == 0.0:
-            return cls(0.0, zero=True)
-        return cls(math.log(v))
-
-    @classmethod
-    def convert(cls, v) -> "LogNumber":
-        if isinstance(v, LogNumber):
-            return v
-        if isinstance(v, int):
-            return cls.from_int(v)
-        if isinstance(v, Fraction):
-            return cls.from_fraction(v)
-        return cls.from_float(float(v))
-
-    # arithmetic -----------------------------------------------------
-    def __mul__(self, other) -> "LogNumber":
-        other = LogNumber.convert(other)
-        if self.zero or other.zero:
-            return LogNumber(0.0, zero=True)
-        return LogNumber(self.ln + other.ln)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "LogNumber":
-        other = LogNumber.convert(other)
-        if other.zero:
-            raise ZeroDivisionError("division by LogNumber zero")
-        if self.zero:
-            return self
-        return LogNumber(self.ln - other.ln)
-
-    def __add__(self, other) -> "LogNumber":
-        other = LogNumber.convert(other)
-        if self.zero:
-            return other
-        if other.zero:
-            return self
-        hi, lo = max(self.ln, other.ln), min(self.ln, other.ln)
-        return LogNumber(hi + math.log1p(math.exp(lo - hi)))
-
-    __radd__ = __add__
-
-    def __pow__(self, exponent) -> "LogNumber":
-        if self.zero:
-            if exponent == 0:
-                return LogNumber(0.0)
-            if exponent < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return self
-        return LogNumber(self.ln * exponent)
-
-    @staticmethod
-    def sum(items: Iterable["LogNumber"]) -> "LogNumber":
-        lns = [x.ln for x in items if not x.zero]
-        if not lns:
-            return LogNumber(0.0, zero=True)
-        hi = max(lns)
-        return LogNumber(hi + math.log(math.fsum(math.exp(v - hi) for v in lns)))
-
-    # comparisons ----------------------------------------------------
-    def _key(self) -> float:
-        return -math.inf if self.zero else self.ln
-
-    def __lt__(self, other):
-        return self._key() < LogNumber.convert(other)._key()
-
-    def __le__(self, other):
-        return self._key() <= LogNumber.convert(other)._key()
-
-    def __gt__(self, other):
-        return self._key() > LogNumber.convert(other)._key()
-
-    def __ge__(self, other):
-        return self._key() >= LogNumber.convert(other)._key()
-
-    # views ----------------------------------------------------------
     @property
     def log10(self) -> float:
-        if self.zero:
+        num, den = self.value.numerator, self.value.denominator
+        if num == 0:
             return -math.inf
-        return self.ln / _LOG10
+        # value = mantissa * 2^shift with mantissa in (1/2, 2); int / int
+        # is correctly rounded however long the operands are
+        shift = num.bit_length() - den.bit_length()
+        if shift >= 0:
+            mantissa = num / (den << shift)
+        else:
+            mantissa = (num << -shift) / den
+        return math.log10(mantissa) + shift * _LOG10_2
 
     def to_float(self) -> float:
-        """Double value, infinite when out of float range."""
-        if self.zero:
-            return 0.0
+        """Correctly rounded double value, infinite when out of float range."""
         try:
-            return math.exp(self.ln)
+            return float(self.value)
         except OverflowError:
             return math.inf
 
     def __float__(self) -> float:
         return self.to_float()
-
-    def __repr__(self) -> str:
-        if self.zero:
-            return "LogNumber(0)"
-        return f"LogNumber(10^{self.log10:.6f})"

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from randsurf.bounds import (
+    SigmaSet,
     a_k_n,
     admissible_trace_for_n,
     bound_report,
@@ -15,7 +18,89 @@ from randsurf.bounds import (
     simplified_sigma_bounds,
     theorem_bound_value,
 )
-from randsurf.words import canonicalize, enumerate_classes_by_trace
+from randsurf.lognum import LogNumber
+from randsurf.words import canonicalize, enumerate_classes_by_length, enumerate_classes_by_trace
+
+
+def reference_sigma_word(m, lengths, m_w, n):
+    """Word-level sigma sums of a length-m word, term by term as written."""
+    s1 = a_k_n(m, n) * p_k_n(m, n) ** 2
+    for i in range(1, m - 1):
+        s1 += 3**i * (m - i) ** m * a_k_n(m - i, n) * p_k_n(m - i, n) ** 2
+
+    s2 = Fraction(0)
+    for mp in lengths:
+        pp = p_k_n(m, n) * p_k_n(mp, n)
+        for i in range(1, 2 * m + 1):
+            for j in range(m + 1):
+                for k in range(mp + 1):
+                    idx = m + mp - i - j - k
+                    if idx >= 0:
+                        coef = comb(2 * m, i) * 3 ** (i + j + k) * (m - j) ** m * (mp - k) ** mp
+                        s2 += coef * a_k_n(idx, n) * pp
+
+    s3 = Fraction(0)
+    for mp in lengths:
+        for i in range(1, m + 1):
+            p_factor = p_k_n(m + mp - i, n)
+            for j in range(m + 1):
+                for k in range(mp + 1):
+                    idx = m + mp - i - j - k - 1
+                    if idx >= 0:
+                        coef = comb(m, i) * 3 ** (i + j + k) * (m - j) ** m * (mp - k) ** mp
+                        s3 += coef * a_k_n(idx, n) * p_factor
+
+    base = sum(a_k_n(mp, n) * p_k_n(mp, n) for mp in lengths)
+    extra = sum(
+        3**i * (m - i) ** m * a_k_n(m - i, n) * p_k_n(m - i, n) for i in range(1, m - 1)
+    )
+    s4 = Fraction(m_w**2, n) * (base + extra) ** 2
+    return SigmaSet(s1, s2, s3, s4)
+
+
+def _reference_families():
+    pool = enumerate_classes_by_length(6)
+    families = [enumerate_classes_by_trace(k).classes for k in range(3, 9)]
+    families += [tuple(c for c in pool if c.word_length <= m) for m in range(1, 7)]
+    picker = random.Random(314_159)
+    for size in (4, 7, 10):
+        subset = tuple(picker.sample(pool, size))
+        assert len({c.word_length for c in subset}) < size  # lengths repeat
+        families.append(subset)
+    return families
+
+
+def test_sums_per_length_equal_the_term_by_term_reference():
+    for classes in _reference_families():
+        lengths = [c.word_length for c in classes]
+        m_w = max(lengths)
+        for n in sorted({m_w, 10, 1000, 10**12}):
+            if n < m_w:
+                continue
+            # the reference depends on a class only through its length
+            reference = {m: reference_sigma_word(m, lengths, m_w, n) for m in set(lengths)}
+            got = sigma_word_bounds(classes, n, mode="exact")
+            for c in classes:
+                assert got[c] == reference[c.word_length], (lengths, n, c)
+
+
+@pytest.mark.parametrize(
+    "bound", [sigma_bounds, sigma_word_bounds, main_bound, refined_mtv_bound]
+)
+def test_unknown_mode_raises(bound):
+    with pytest.raises(ValueError, match="mode"):
+        bound(enumerate_classes_by_trace(4).classes, 10, mode="bogus")
+
+
+def test_log_mode_is_a_view_of_exact_mode():
+    classes = enumerate_classes_by_trace(6).classes
+    exact = sigma_bounds(classes, 100, mode="exact")
+    for c, s in sigma_bounds(classes, 100, mode="log").items():
+        assert s == exact[c].view(LogNumber)
+        assert s.total == LogNumber(exact[c].total)
+    assert refined_mtv_bound(classes, 100, mode="log") == LogNumber(
+        refined_mtv_bound(classes, 100)
+    )
 
 
 def test_pair_probability_values():
@@ -168,5 +253,6 @@ def test_bound_report_exact_shadow_matches_log_values():
     assert report.refined_le_main
     assert report.m_w == 4 and report.card == 3
     huge = bound_report(classes, 10**9)
-    assert huge.exact_refined is None  # too heavy to shadow exactly
+    assert huge.exact_refined is None  # computed, but past the report's gate
+    assert huge.refined == refined_mtv_bound(classes, 10**9, mode="log")
     assert huge.exact_main == theorem_bound_value(3, 4, 10**9)

@@ -1,9 +1,13 @@
 import json
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from randsurf.bounds import refined_mtv_bound, sigma_bounds, theorem_bound_value
 from randsurf.cli import main
+from randsurf.words import enumerate_classes_by_trace
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -138,6 +142,38 @@ def test_bound_command_golden(tmp_path):
     assert payload["main"]["value"].startswith("1.114512556")
     assert payload["refined_exact"] is None  # gated at this N
     assert payload["refined_le_main"] is True
+
+
+def _rounded_12(x) -> str:
+    """12-significant-digit string of an mpf, in the report's format."""
+    return format(float(mpmath.nstr(x, 12)), ".12g")
+
+
+@pytest.mark.parametrize("n, trace", [(10, 8), (1_000_000, 6), (6, 4)])
+def test_bound_strings_are_correctly_rounded(tmp_path, n, trace):
+    payload = json.loads(
+        run_cli(["bound", "--n", str(n), "--max-trace", str(trace)], tmp_path)
+    )
+    classes = enumerate_classes_by_trace(trace).classes
+    m_w = max(c.word_length for c in classes)
+    exact = {
+        "refined": refined_mtv_bound(classes, n),
+        "main": theorem_bound_value(len(classes), m_w, n),
+    }
+    views = {"refined": payload["refined"], "main": payload["main"]}
+    for c, s in sigma_bounds(classes, n).items():
+        record = payload["per_class_sigma"][c.canonical]
+        values = {"sigma1": s.s1, "sigma2": s.s2, "sigma3": s.s3, "sigma4": s.s4}
+        for key, value in [*values.items(), ("total", s.total)]:
+            exact[c, key] = value
+            views[c, key] = record[key]
+    assert len(views) == 5 * len(classes) + 2
+    with mpmath.workdps(60):
+        for key, value in exact.items():
+            x = mpmath.mpf(value.numerator) / value.denominator
+            assert sys.float_info.min < x < sys.float_info.max
+            expected = {"log10": _rounded_12(mpmath.log10(x)), "value": _rounded_12(x)}
+            assert views[key] == expected, key
 
 
 def test_bound_rejects_short_n():
