@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -48,8 +49,16 @@ def _exact(x) -> str:
     return str(Fraction(x))
 
 
+# 12 digits over any exponent range: past the double range the value prints inf
+_DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _lognum(x: LogNumber) -> dict:
-    return {"log10": _dec(x.log10), "value": _dec(x.to_float())}
+    # round the exact value to 12 digits first: _dec of its double can
+    # land on the wrong side of a 12-digit rounding boundary
+    num, den = x.value.numerator, x.value.denominator
+    value = _DECIMAL_12.divide(decimal.Decimal(num), decimal.Decimal(den))
+    return {"log10": _dec(x.log10), "value": _dec(value)}
 
 
 def _class_record(c: WordClass) -> dict:
@@ -325,16 +334,10 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         rows = [
             {
                 "name": "refined",
-                "log10": _dec(report.refined.log10),
-                "value": _dec(report.refined.to_float()),
+                **_lognum(report.refined),
                 "clamped": _dec(report.refined_clamped),
             },
-            {
-                "name": "main",
-                "log10": _dec(report.main.log10),
-                "value": _dec(report.main.to_float()),
-                "clamped": _dec(report.main_clamped),
-            },
+            {"name": "main", **_lognum(report.main), "clamped": _dec(report.main_clamped)},
         ]
         _emit(_csv(rows), args.out)
         return

@@ -23,13 +23,14 @@ Fix(u) the number of fixed points of the step composition along u,
     Z_[w] = |[w]| * sum_{d | k, q | d} phi(k/d) * Fix(w[:d]) / (2k).
 
 For a primitive word only d = k is left, so a class costs one
-fixed-point count.  class_count evaluates the formula, and
-count_vector and count_cycles are built on it.
+fixed-point count.  count_vector is the only counter: it builds the
+step arrays of a gluing once and evaluates the formula for every
+requested class on them.  count_cycles is one count_vector call.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
 and independent of the formula, and is kept as the reference that
-class_count is tested against.
+count_vector is tested against.
 """
 
 from __future__ import annotations
@@ -71,37 +72,20 @@ class SpectrumReport:
         return self.counts.get(canonicalize(word), 0)
 
 
-@lru_cache(maxsize=64)
-def _next_lists(n: int) -> dict[str, list[int]]:
-    """_next_arrays as lists keyed by turn, for the pure-python walks."""
-    left, right = _next_arrays(n)
-    return {"L": left.tolist(), "R": right.tolist()}
-
-
-def fixed_point_count(g: Gluing, word: str) -> int:
+def fixed_point_count(
+    steps: Mapping[str, np.ndarray], labels: np.ndarray, word: str
+) -> int:
     """Number of sides s with the word-long step walk returning to s.
 
-    word must be a nonempty word in L and R, such as a class's
-    canonical word; it is not checked here.
+    steps maps each turn to its step array of one gluing and labels is
+    np.arange(6N + 1).  word must be a nonempty word in L and R, such
+    as a class's canonical word; it is not checked here.
     """
-    size = 6 * g.half_count
-    if size <= 48:
-        # pure python beats numpy on small gluings
-        partner = g.partner.tolist()
-        nxt = _next_lists(g.half_count)
-        fix = 0
-        for s0 in range(1, size + 1):
-            s = s0
-            for turn in word:
-                s = partner[nxt[turn][s]]
-            if s == s0:
-                fix += 1
-        return fix
-    step_l, step_r = step_arrays(g)
-    f = np.arange(size + 1)
-    for turn in word:
-        f = (step_l if turn == "L" else step_r)[f]
-    return int(np.count_nonzero(f[1:] == np.arange(1, size + 1)))
+    f = steps[word[0]]
+    for turn in word[1:]:
+        f = steps[turn][f]
+    # slot 0 is a dummy that every step array fixes
+    return int(np.count_nonzero(f == labels)) - 1
 
 
 def _totient(n: int) -> int:
@@ -118,33 +102,35 @@ def _burnside_terms(canonical: str) -> tuple[tuple[str, int], ...]:
     )
 
 
-def class_count(g: Gluing, cls: WordClass) -> int:
-    """Z_[w] through Burnside's lemma; one fixed-point count if w is primitive."""
-    total = 0
-    for prefix, weight in _burnside_terms(cls.canonical):
-        total += weight * fixed_point_count(g, prefix)
-    total *= cls.class_size
-    twice_k = 2 * cls.word_length
-    if total % twice_k:
-        raise ArithmeticError(
-            f"Burnside sum {total} for {cls.canonical} is not divisible by {twice_k}"
-        )
-    return total // twice_k
-
-
 def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
-    """Counts for the requested classes, in the requested order."""
-    return {c: class_count(g, c) for c in classes}
+    """Z_[w] for the requested classes, in the requested order.
+
+    Burnside's lemma over step arrays built once for the gluing; a
+    primitive class costs one fixed-point count.
+    """
+    step_l, step_r = step_arrays(g)
+    steps = {"L": step_l, "R": step_r}
+    labels = np.arange(6 * g.half_count + 1)
+    counts = {}
+    for cls in classes:
+        total = 0
+        for prefix, weight in _burnside_terms(cls.canonical):
+            total += weight * fixed_point_count(steps, labels, prefix)
+        total *= cls.class_size
+        twice_k = 2 * cls.word_length
+        if total % twice_k:
+            raise ArithmeticError(
+                f"Burnside sum {total} for {cls.canonical} is not divisible by {twice_k}"
+            )
+        counts[cls] = total // twice_k
+    return counts
 
 
 def count_cycles(g: Gluing, m: int) -> SpectrumReport:
     """Every cycle class of length <= m that occurs, with its count."""
     _check_max_length(m)
-    counts = {}
-    for c in enumerate_classes_by_length(m):  # sorted by (length, canonical)
-        k = class_count(g, c)
-        if k:
-            counts[c] = k
+    classes = enumerate_classes_by_length(m)  # sorted by (length, canonical)
+    counts = {c: k for c, k in count_vector(g, classes).items() if k}
     lengths = [c.length for c in counts if not c.parabolic]
     return SpectrumReport(
         half_count=g.half_count,
@@ -165,7 +151,8 @@ def brute_force_counts(g: Gluing, m: int) -> dict[WordClass, int]:
     n = g.half_count
     base = 6 * n + 1
     partner = g.partner.tolist()
-    nxt = _next_lists(n)
+    left, right = _next_arrays(n)
+    nxt = {"L": left.tolist(), "R": right.tolist()}
 
     counts: dict[WordClass, int] = {}
     seen: set[tuple[int, ...]] = set()

@@ -190,11 +190,7 @@ def representation_check(word: str, n: int) -> RepresentationReport:
         raise ValueError(f"word longer than {MAX_EXACT_WORD_LENGTH}")
 
     cls = canonicalize(word)
-    total = matching_count(n)
-    direct_sum = 0
-    for g in enumerate_all_gluings(n):
-        direct_sum += count_vector(g, [cls])[cls]
-    direct_mean = Fraction(direct_sum, total)
+    direct_mean = exact_joint_distribution([cls], n).exact_means[cls]
 
     prob_sum = Fraction(0)
     by_rank: Counter = Counter()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import class_count
+from randsurf.cycles import count_vector
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
@@ -44,6 +44,9 @@ class ExperimentPlan:
             raise ValueError("need N >= 1, samples >= 1, seed >= 0")
         if not self.classes:
             raise ValueError("need at least one class")
+        # count vectors are keyed by class
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError("duplicate classes")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -68,7 +71,7 @@ def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
     t = Tallies()
     for index in range(start, stop):
         g = sample_uniform_gluing(plan.half_count, plan.seed, index)
-        t.joint[tuple([class_count(g, c) for c in plan.classes])] += 1
+        t.joint[tuple(count_vector(g, plan.classes).values())] += 1
         if plan.with_topology:
             top = topology(g)
             t.shapes[top.component_count, top.total_genus, top.cusp_count] += 1

@@ -149,7 +149,9 @@ def _rounded_12(x) -> str:
     return format(float(mpmath.nstr(x, 12)), ".12g")
 
 
-@pytest.mark.parametrize("n, trace", [(10, 8), (1_000_000, 6), (6, 4)])
+@pytest.mark.parametrize(
+    "n, trace", [(10, 8), (1_000_000, 6), (6, 4), (1_000_000_000, 8)]
+)
 def test_bound_strings_are_correctly_rounded(tmp_path, n, trace):
     payload = json.loads(
         run_cli(["bound", "--n", str(n), "--max-trace", str(trace)], tmp_path)

@@ -9,14 +9,17 @@ from randsurf import cycles
 from randsurf.cycles import (
     MAX_CYCLE_LENGTH,
     brute_force_counts,
-    class_count,
     count_cycles,
     count_vector,
-    fixed_point_count,
 )
 from randsurf.exact import enumerate_all_gluings
-from randsurf.gluing import Gluing, sample_uniform_gluing
-from randsurf.words import canonicalize, enumerate_classes_by_length, word_period
+from randsurf.gluing import Gluing, sample_uniform_gluing, step_arrays
+from randsurf.words import (
+    canonicalize,
+    enumerate_classes_by_length,
+    enumerate_classes_by_trace,
+    word_period,
+)
 
 
 def test_length_guard(torus_gluing):
@@ -81,8 +84,9 @@ def test_fixed_point_route_matches_brute_force():
         n = int(rng.integers(1, 11))
         g = sample_uniform_gluing(n, seed=int(rng.integers(1 << 30)), index=0)
         ref = brute_force_counts(g, 5)
+        counts = count_vector(g, primitive)
         for cls in primitive:
-            assert class_count(g, cls) == ref.get(cls, 0), (n, cls)
+            assert counts[cls] == ref.get(cls, 0), (n, cls)
 
 
 def _gluing_from_permutation(n: int, perm: list[int]) -> Gluing:
@@ -99,10 +103,11 @@ CLASSES_UP_TO_7 = enumerate_classes_by_length(7)  # LL, LRLR, LLRLLR, ... includ
 
 @settings(max_examples=40, deadline=None)
 @given(small_gluings)
-def test_class_count_equals_brute_force_on_random_gluings(g):
+def test_count_vector_equals_brute_force_on_random_gluings(g):
     ref = brute_force_counts(g, 7)
+    counts = count_vector(g, CLASSES_UP_TO_7)
     for cls in CLASSES_UP_TO_7:
-        assert class_count(g, cls) == ref.get(cls, 0), (g.pairs(), cls.canonical)
+        assert counts[cls] == ref.get(cls, 0), (g.pairs(), cls.canonical)
 
 
 def test_burnside_terms_weigh_every_rotation_once():
@@ -117,21 +122,24 @@ def test_burnside_terms_weigh_every_rotation_once():
 
 
 def test_indivisible_burnside_sum_raises(monkeypatch, torus_gluing):
-    monkeypatch.setattr(cycles, "fixed_point_count", lambda g, word: 1)
+    monkeypatch.setattr(cycles, "fixed_point_count", lambda steps, labels, word: 1)
     with pytest.raises(ArithmeticError):
-        class_count(torus_gluing, canonicalize("LR"))
+        count_vector(torus_gluing, [canonicalize("LR")])
 
 
-def test_fixed_point_count_small_and_large_paths_agree():
-    # same gluing shape, thresholded containers differ at 6N = 48
-    rng = np.random.default_rng(8)
-    for n in (8, 9):  # 6N straddles the pure-python cutoff
-        g = sample_uniform_gluing(n, seed=3, index=0)
-        for word in ("LR", "LLR", "LLRR"):
-            direct = fixed_point_count(g, word)
-            cls = canonicalize(word)
-            assert direct % 1 == 0
-            assert class_count(g, cls) * (2 * len(word)) == cls.class_size * direct
+def test_step_arrays_are_built_once_per_gluing(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return step_arrays(g)
+
+    monkeypatch.setattr(cycles, "step_arrays", counted)
+    classes = enumerate_classes_by_trace(7).classes
+    assert canonicalize("LRLR") in classes  # two Burnside terms
+    g = sample_uniform_gluing(10, seed=4, index=0)
+    count_vector(g, classes)
+    assert calls == [g]
 
 
 def test_count_vector_handles_non_primitive_classes(torus_gluing):

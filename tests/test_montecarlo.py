@@ -24,6 +24,8 @@ def test_plan_validation(lr):
         ExperimentPlan(half_count=1, classes=(lr,), samples=0, seed=0)
     with pytest.raises(ValueError):
         ExperimentPlan(half_count=1, classes=(lr,), samples=10, seed=0, workers=0)
+    with pytest.raises(ValueError, match="duplicate classes"):
+        ExperimentPlan(half_count=1, classes=(lr, lr), samples=10, seed=0)
 
 
 def test_tallies_match_a_direct_loop(lr, llr):

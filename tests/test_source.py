@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "randsurf"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "randsurf"
 
 
 def test_no_assert_statements_in_the_package():
@@ -17,3 +20,21 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_readme_library_map_names_real_attributes():
+    # every identifier a bullet names must exist in that bullet's module
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    bullets = re.split(r"^- ", section, flags=re.MULTILINE)[1:]
+    assert len(bullets) >= 9, bullets
+    missing = []
+    for bullet in bullets:
+        module_name, *names = re.findall(r"`([^`]+)`", bullet)
+        module = importlib.import_module(module_name)
+        for name in names:
+            if module_name == "randsurf.cli" and name == "randsurf":
+                continue  # the console script, not an attribute
+            if not hasattr(module, name):
+                missing.append(f"{module_name}.{name}")
+    assert not missing, f"README library map names missing attributes: {missing}"
