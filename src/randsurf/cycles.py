@@ -23,9 +23,11 @@ Fix(u) the number of fixed points of the step composition along u,
     Z_[w] = |[w]| * sum_{d | k, q | d} phi(k/d) * Fix(w[:d]) / (2k).
 
 For a primitive word only d = k is left, so a class costs one
-fixed-point count.  count_vector is the only counter: it builds the
-step arrays of a gluing once and evaluates the formula for every
-requested class on them.  count_cycles is one count_vector call.
+fixed-point count.  count_vector is the only counter of a single
+gluing: it builds the step arrays of a gluing once and evaluates the
+formula for every requested class on them.  count_cycles is one
+count_vector call.  step_walk is the one step composition; the
+exhaustive oracle runs it on whole blocks of gluings at once.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
@@ -72,20 +74,30 @@ class SpectrumReport:
         return self.counts.get(canonicalize(word), 0)
 
 
+def step_walk(steps: Mapping[str, np.ndarray], word: str) -> np.ndarray:
+    """End point of the word-long step walk from every slot.
+
+    steps maps each turn to a step array whose entries index the array
+    itself: one gluing's label-indexed arrays, or a block of gluings
+    laid out as flat indices.  word must be a nonempty word in L and R,
+    such as a class's canonical word; it is not checked here.
+    """
+    f = steps[word[0]]
+    for turn in word[1:]:
+        f = steps[turn][f]
+    return f
+
+
 def fixed_point_count(
     steps: Mapping[str, np.ndarray], labels: np.ndarray, word: str
 ) -> int:
     """Number of sides s with the word-long step walk returning to s.
 
     steps maps each turn to its step array of one gluing and labels is
-    np.arange(6N + 1).  word must be a nonempty word in L and R, such
-    as a class's canonical word; it is not checked here.
+    np.arange(6N + 1).
     """
-    f = steps[word[0]]
-    for turn in word[1:]:
-        f = steps[turn][f]
     # slot 0 is a dummy that every step array fixes
-    return int(np.count_nonzero(f == labels)) - 1
+    return int(np.count_nonzero(step_walk(steps, word) == labels)) - 1
 
 
 def _totient(n: int) -> int:

@@ -97,6 +97,18 @@ class Gluing:
             partner[b] = a
         return cls(half_count=n, partner=partner)
 
+    @classmethod
+    def _trusted(cls, n: int, partner: np.ndarray) -> "Gluing":
+        """A gluing whose partner array is valid by construction.
+
+        For the sampler and the exhaustive enumeration, which build
+        involutions themselves; it skips the checks of __post_init__.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "half_count", n)
+        object.__setattr__(g, "partner", partner)
+        return g
+
     def pairs(self) -> tuple[tuple[int, int], ...]:
         out = []
         for s in range(1, 6 * self.half_count + 1):
@@ -123,7 +135,7 @@ def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     right = perm[1::2] + 1
     partner[left] = right
     partner[right] = left
-    return Gluing(half_count=n, partner=partner)
+    return Gluing._trusted(n, partner)
 
 
 def step(g: Gluing, side: int, turn: str) -> int:

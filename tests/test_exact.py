@@ -1,15 +1,28 @@
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
+from randsurf import exact
+from randsurf.cycles import count_vector
 from randsurf.exact import (
+    _block_counter,
+    _distinct_rows,
+    _gluing_blocks,
     containment_probability,
     enumerate_all_gluings,
     exact_joint_distribution,
     matching_count,
     representation_check,
 )
-from randsurf.words import canonicalize
+from randsurf.gluing import Gluing
+from randsurf.words import canonicalize, enumerate_classes_by_length
+
+# every class of length <= 6, proper powers (LL, LRLR, LLLL, LRLRLR, ...) included
+ALL_TO_SIX = tuple(enumerate_classes_by_length(6))
 
 
 def test_matching_counts():
@@ -23,6 +36,81 @@ def test_enumeration_is_complete_and_distinct():
     assert len(seen) == 15
     count = sum(1 for _ in enumerate_all_gluings(2))
     assert count == 10395
+
+
+def _reference_order(n):
+    # the smallest free label pairs with each larger one, then recurse
+    def rec(free, acc):
+        if not free:
+            yield Gluing.from_pairs(n, acc).partner
+            return
+        for i, other in enumerate(free[1:], start=1):
+            yield from rec(free[1:i] + free[i + 1 :], acc + [(free[0], other)])
+
+    return list(rec(tuple(range(1, 6 * n + 1)), []))
+
+
+@pytest.mark.parametrize("n, blocks", [(1, 1), (2, 11)])
+def test_blocks_list_every_gluing_in_the_enumeration_order(n, blocks):
+    listed = list(_gluing_blocks(n))
+    assert len(listed) == blocks
+    rows = np.concatenate(listed)
+    assert rows.dtype == np.int8
+    # from_pairs validates the reference, so every row is a valid gluing
+    assert rows.tolist() == [p.tolist() for p in _reference_order(n)]
+    gluings = list(enumerate_all_gluings(n))
+    assert [g.partner.tolist() for g in gluings] == rows.tolist()
+    assert all(g.partner.dtype == np.int64 for g in gluings)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_counts_equal_count_vector_on_every_small_gluing(n):
+    count = _block_counter(n, ALL_TO_SIX)
+    got = np.concatenate([count(block) for block in _gluing_blocks(n)])
+    want = [list(count_vector(g, ALL_TO_SIX).values()) for g in enumerate_all_gluings(n)]
+    assert got.tolist() == want
+
+
+def test_block_counts_equal_count_vector_on_sampled_n3_blocks():
+    blocks = 17 * 15 * 13 * 11
+    picked = {0, blocks - 1, *random.Random(3).sample(range(1, blocks - 1), 4)}
+    count = _block_counter(3, ALL_TO_SIX)
+    seen = 0
+    for index, block in enumerate(_gluing_blocks(3)):
+        seen += 1
+        if index not in picked:
+            continue
+        assert block.shape == (945, 19)
+        want = [list(count_vector(Gluing(3, p.astype(np.int64)), ALL_TO_SIX).values())
+                for p in block]
+        assert count(block).tolist() == want, index
+    assert seen == blocks
+
+
+def test_indivisible_block_sum_raises(monkeypatch, lr):
+    # the block's flat slots are label-major, 15 rows per label at N = 1:
+    # fix label 1 of every row and nothing else, so Z_[LR] = 2 * 1 / 4
+    def one_fixed_side(steps, word):
+        walk = np.zeros(len(steps["L"]), dtype=np.intp)
+        walk[15:30] = np.arange(15, 30)
+        return walk
+
+    monkeypatch.setattr(exact, "step_walk", one_fixed_side)
+    (block,) = _gluing_blocks(1)
+    with pytest.raises(ArithmeticError, match="not divisible by 4"):
+        _block_counter(1, [lr])(block)
+    with pytest.raises(ArithmeticError):
+        exact_joint_distribution([lr], 1)
+
+
+def test_distinct_rows_keep_first_appearance_and_multiplicity():
+    rows = np.array([[2, 0], [1, 5], [2, 0], [0, 0], [1, 5], [2, 0]])
+    assert list(_distinct_rows(rows)) == [((2, 0), 3), ((1, 5), 2), ((0, 0), 1)]
+    # columns whose ranges multiply past int64 take the renumbering path
+    rng = np.random.default_rng(0)
+    wide = rng.integers(0, 2, size=(500, 90)) * rng.integers(1, 10**6, size=90)
+    wide[250:] = wide[:250]
+    assert list(_distinct_rows(wide)) == list(Counter(map(tuple, wide.tolist())).items())
 
 
 def test_heavy_enumeration_is_gated():
@@ -107,3 +195,21 @@ def test_representation_check_guards():
         representation_check("LR", 3)
     with pytest.raises(ValueError):
         representation_check("LRLRLRL", 1)
+
+
+@pytest.mark.slow
+def test_n3_law_of_lr_and_llr(lr, llr):
+    systems = {n: exact_joint_distribution([lr, llr], n, allow_heavy=True) for n in (1, 2, 3)}
+    n3 = systems[3]
+    assert n3.gluing_count == 34_459_425
+    # the containment sum over all 18^k side sequences is an independent
+    # route to the mean of a primitive class
+    for cls in (lr, llr):
+        sides = product(range(1, 19), repeat=cls.word_length)
+        total = sum(containment_probability(a, cls.canonical, 3) for a in sides)
+        assert n3.exact_means[cls] == cls.lam * total
+    assert n3.exact_means == {lr: Fraction(9, 17), llr: Fraction(216, 221)}
+    assert float(n3.exact_mtv) == pytest.approx(0.20282895139576498, abs=1e-15)
+    mtv = [float(systems[n].exact_mtv) for n in (1, 2, 3)]
+    assert mtv == pytest.approx([0.7722212948484779, 0.34347912544031367, 0.20282895139576498])
+    assert mtv[0] > mtv[1] > mtv[2]

@@ -144,6 +144,19 @@ def test_sampling_is_deterministic_and_index_sensitive():
     assert not np.array_equal(a.partner, d.partner)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_sampled_partners_are_valid_gluings(monkeypatch, n):
+    validated = []
+    original = Gluing.__post_init__
+    monkeypatch.setattr(Gluing, "__post_init__", lambda g: validated.append(g))
+    sampled = [sample_uniform_gluing(n, seed=11, index=i) for i in range(20)]
+    assert validated == []  # the sampler builds involutions; it skips the checks
+    monkeypatch.setattr(Gluing, "__post_init__", original)
+    for g in sampled:
+        assert g.half_count == n and g.partner.dtype == np.int64
+        Gluing(n, g.partner)  # raises unless a fixed-point-free involution
+
+
 def test_sampling_guards():
     with pytest.raises(ValueError):
         sample_uniform_gluing(0, seed=1, index=0)
