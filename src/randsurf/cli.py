@@ -28,7 +28,7 @@ from typing import Sequence
 from randsurf.bounds import BoundReport, bound_report
 from randsurf.exact import exact_joint_distribution
 from randsurf.lognum import LogNumber
-from randsurf.montecarlo import ExperimentPlan, StatsReport, run_plan, summarize
+from randsurf.montecarlo import ExperimentPlan, run_plan, summarize
 from randsurf.words import (
     WordClass,
     canonicalize,
@@ -77,25 +77,33 @@ def _class_record(c: WordClass) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _write(
+    args: argparse.Namespace, command: str, config: dict, body: dict, rows: list[dict]
+) -> None:
+    """The one report writer: the JSON envelope or the CSV table, to --out or stdout."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        if rows:
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        payload = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **body}
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    return buf.getvalue()
+def _or_usage(parser: argparse.ArgumentParser, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError turned into a usage error (exit 2)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +116,7 @@ def _parse_word_list(parser: argparse.ArgumentParser, text: str) -> tuple[WordCl
         token = token.strip()
         if not token:
             continue
-        try:
-            c = canonicalize(token)
-        except ValueError as exc:
-            parser.error(str(exc))
+        c = _or_usage(parser, canonicalize, token)
         if c in out:
             parser.error(
                 f"class of {token!r} appears twice (words of one class collapse to {c.canonical})"
@@ -125,17 +130,11 @@ def _parse_word_list(parser: argparse.ArgumentParser, text: str) -> tuple[WordCl
 def _resolve_classes(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> tuple[WordClass, ...]:
-    if getattr(args, "classes", None):
+    if getattr(args, "classes", None) is not None:
         return _parse_word_list(parser, args.classes)
     if getattr(args, "max_word_len", None) is not None:
-        try:
-            return tuple(enumerate_classes_by_length(args.max_word_len))
-        except ValueError as exc:
-            parser.error(str(exc))
-    try:
-        return tuple(enumerate_classes_by_trace(args.max_trace).classes)
-    except ValueError as exc:
-        parser.error(str(exc))
+        return tuple(_or_usage(parser, enumerate_classes_by_length, args.max_word_len))
+    return tuple(_or_usage(parser, enumerate_classes_by_trace, args.max_trace).classes)
 
 
 def _add_selection(sub: argparse.ArgumentParser, with_length: bool) -> None:
@@ -168,17 +167,7 @@ def cmd_words(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     else:
         config = {"max_trace": args.max_trace}
     records = [_class_record(c) for c in classes]
-    if args.format == "csv":
-        _emit(_csv(records), args.out)
-        return
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "words",
-        "config": config,
-        "count": len(records),
-        "classes": records,
-    }
-    _emit(_json(payload), args.out)
+    _write(args, "words", config, {"count": len(records), "classes": records}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -213,44 +202,19 @@ def _bounds_payload(report: BoundReport) -> dict:
     return payload
 
 
-def _stats_rows(report: StatsReport) -> list[dict]:
-    rows = []
-    for s in report.per_class:
-        rows.append(
-            {
-                "word": s.word_class.canonical,
-                "word_length": s.word_class.word_length,
-                "class_size": s.word_class.class_size,
-                "lambda": _dec(s.word_class.lam),
-                "mean": _dec(s.mean),
-                "mean_se": _dec(s.mean_se),
-                "variance": _dec(s.variance),
-                "tv_vs_poisson": _dec(s.tv_vs_poisson),
-                "tv_se": _dec(s.tv_se),
-                "max_count": s.max_count,
-            }
-        )
-    return rows
-
-
 def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
-    try:
-        plan = ExperimentPlan(
-            half_count=args.n,
-            classes=classes,
-            samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-            with_topology=not args.no_topology,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    plan = _or_usage(
+        parser,
+        ExperimentPlan,
+        half_count=args.n,
+        classes=classes,
+        samples=args.samples,
+        seed=args.seed,
+        workers=args.workers,
+        with_topology=not args.no_topology,
+    )
     report = summarize(plan, run_plan(plan))
-
-    if args.format == "csv":
-        _emit(_csv(_stats_rows(report)), args.out)
-        return
 
     per_class = []
     for s in report.per_class:
@@ -296,16 +260,14 @@ def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             "mean_cusps": _dec(t.mean_cusps),
             "cusps_se": _dec(t.cusps_se),
         }
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "stats",
-        "config": {
-            "n": plan.half_count,
-            "samples": plan.samples,
-            "seed": plan.seed,
-            "classes": [c.canonical for c in plan.classes],
-            "with_topology": plan.with_topology,
-        },
+    config = {
+        "n": plan.half_count,
+        "samples": plan.samples,
+        "seed": plan.seed,
+        "classes": [c.canonical for c in plan.classes],
+        "with_topology": plan.with_topology,
+    }
+    body = {
         "per_class": per_class,
         "pairs": pairs,
         "joint": {
@@ -317,7 +279,17 @@ def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         "bounds_note": report.bounds_note,
         "topology": topo,
     }
-    _emit(_json(payload), args.out)
+    # the CSV is the per-class table: the JSON records without the exact companions
+    rows = [
+        {
+            "word": r["word"],
+            "word_length": s.word_class.word_length,
+            "class_size": s.word_class.class_size,
+            **{k: v for k, v in r.items() if not k.endswith("_exact")},
+        }
+        for r, s in zip(per_class, report.per_class)
+    ]
+    _write(args, "stats", config, body, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +298,17 @@ def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
-    try:
-        report = bound_report(classes, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "csv":
-        rows = [
-            {
-                "name": "refined",
-                **_lognum(report.refined),
-                "clamped": _dec(report.refined_clamped),
-            },
-            {"name": "main", **_lognum(report.main), "clamped": _dec(report.main_clamped)},
-        ]
-        _emit(_csv(rows), args.out)
-        return
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bound",
-        "config": {"n": args.n, "classes": [c.canonical for c in classes]},
-    }
-    payload.update(_bounds_payload(report))
-    _emit(_json(payload), args.out)
+    report = _or_usage(parser, bound_report, classes, args.n)
+    rows = [
+        {
+            "name": "refined",
+            **_lognum(report.refined),
+            "clamped": _dec(report.refined_clamped),
+        },
+        {"name": "main", **_lognum(report.main), "clamped": _dec(report.main_clamped)},
+    ]
+    config = {"n": args.n, "classes": [c.canonical for c in classes]}
+    _write(args, "bound", config, _bounds_payload(report), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +317,9 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
-    try:
-        system = exact_joint_distribution(
-            classes, args.n, dps=args.dps, allow_heavy=args.allow_n3
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    system = _or_usage(
+        parser, exact_joint_distribution, classes, args.n, dps=args.dps, allow_heavy=args.allow_n3
+    )
 
     joint_rows = [
         {
@@ -371,11 +329,6 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         }
         for vec, p in sorted(system.joint_law.atoms.items())
     ]
-    if args.format == "csv":
-        for row in joint_rows:
-            row["counts"] = ",".join(map(str, row["counts"]))
-        _emit(_csv(joint_rows), args.out)
-        return
     per_class = []
     for c in system.classes:
         mean = system.exact_means[c]
@@ -387,20 +340,15 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
                 "mean": _dec(mean),
             }
         )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "config": {
-            "n": args.n,
-            "classes": [c.canonical for c in classes],
-            "dps": args.dps,
-        },
+    config = {"n": args.n, "classes": [c.canonical for c in classes], "dps": args.dps}
+    body = {
         "gluing_count": system.gluing_count,
         "per_class": per_class,
         "joint_law": joint_rows,
         "mtv_vs_product_poisson": _dec(system.exact_mtv),
     }
-    _emit(_json(payload), args.out)
+    rows = [{**row, "counts": ",".join(map(str, row["counts"]))} for row in joint_rows]
+    _write(args, "oracle", config, body, rows)
 
 
 # ---------------------------------------------------------------------------

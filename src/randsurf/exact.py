@@ -56,7 +56,7 @@ def matching_count(n: int) -> int:
 
 def _check_exhaustive_n(n: int, allow_heavy: bool) -> None:
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive enumeration supports N <= {MAX_EXHAUSTIVE_N}")
+        raise ValueError(f"exhaustive enumeration supports 1 <= N <= {MAX_EXHAUSTIVE_N}")
     if n == MAX_EXHAUSTIVE_N and not allow_heavy:
         raise ValueError(
             "N = 3 walks 34459425 gluings, about 35 s on one core for the"
@@ -205,10 +205,6 @@ class ExactSystem:
     joint_law: FiniteDistribution
     exact_means: dict[WordClass, Fraction]
     exact_mtv: object  # mpmath float at the requested precision
-
-    @property
-    def lambdas(self) -> tuple[Fraction, ...]:
-        return tuple(c.lam for c in self.classes)
 
 
 def exact_joint_distribution(

@@ -120,6 +120,18 @@ def test_stats_rejects_duplicate_and_malformed_classes():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["stats", "--n", "2", "--samples", "10"], ["bound", "--n", "2"], ["oracle", "--n", "1"]],
+    ids=lambda command: command[0],
+)
+def test_empty_classes_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--classes="])
+    assert exc.value.code == 2
+    assert "--classes needs at least one word" in capsys.readouterr().err
+
+
 def test_stats_csv_is_a_flat_class_table(tmp_path):
     text = run_cli(
         ["stats", "--n", "4", "--samples", "100", "--classes", "LR,LLR",
@@ -211,8 +223,23 @@ def test_oracle_gates():
     assert exc.value.code == 2
 
 
-def test_stats_prints_to_stdout_by_default(capsys):
-    assert main(["stats", "--n", "2", "--samples", "20", "--classes", "LR"]) == 0
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["command"] == "stats"
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["words", "--max-len", "3"],
+        ["stats", "--n", "2", "--samples", "20", "--classes", "LR"],
+        ["bound", "--n", "50", "--max-trace", "5"],
+        ["oracle", "--n", "1", "--classes", "LR,LLR"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_reports_print_to_stdout_by_default(args, fmt, tmp_path, capsys):
+    argv = [*args, "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    written = run_cli(argv, tmp_path)
+    assert printed == written
+    assert capsys.readouterr().out == ""
+    if fmt == "json":
+        assert json.loads(printed)["command"] == args[0]

@@ -120,6 +120,8 @@ def test_heavy_enumeration_is_gated():
         exact_joint_distribution([canonicalize("LR")], 3)
     with pytest.raises(ValueError):
         exact_joint_distribution([canonicalize("LR")], 4, allow_heavy=True)
+    with pytest.raises(ValueError, match="1 <= N <= 3"):
+        exact_joint_distribution([canonicalize("LR")], 0)
 
 
 def test_exact_law_n1(lr):
