@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--max-len", type=int, metavar="M", dest="max_word_len")
     sel.add_argument("--max-trace", type=int, metavar="K")
     _add_output(words)
-    words.set_defaults(func=cmd_words)
+    words.set_defaults(func=cmd_words, parser=words)
 
     stats = sub.add_parser("stats", help="Monte Carlo statistics report")
     stats.add_argument("--n", type=int, required=True, metavar="N")
@@ -379,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_selection(stats, with_length=True)
     _add_output(stats)
-    stats.set_defaults(func=cmd_stats)
+    stats.set_defaults(func=cmd_stats, parser=stats)
 
     bound = sub.add_parser("bound", help="explicit distance bounds")
     bound.add_argument("--n", type=int, required=True, metavar="N")
     _add_selection(bound, with_length=False)
     _add_output(bound)
-    bound.set_defaults(func=cmd_bound)
+    bound.set_defaults(func=cmd_bound, parser=bound)
 
     oracle = sub.add_parser("oracle", help="exact law over all gluings")
     oracle.add_argument("--n", type=int, required=True, metavar="N")
@@ -393,15 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--allow-n3", action="store_true")
     _add_selection(oracle, with_length=False)
     _add_output(oracle)
-    oracle.set_defaults(func=cmd_oracle)
+    oracle.set_defaults(func=cmd_oracle, parser=oracle)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.func(parser, args)
+    args = build_parser().parse_args(argv)
+    # usage errors after parsing print the subcommand's usage line
+    args.func(args.parser, args)
     return 0
 
 

@@ -23,11 +23,13 @@ Fix(u) the number of fixed points of the step composition along u,
     Z_[w] = |[w]| * sum_{d | k, q | d} phi(k/d) * Fix(w[:d]) / (2k).
 
 For a primitive word only d = k is left, so a class costs one
-fixed-point count.  count_vector is the only counter of a single
-gluing: it builds the step arrays of a gluing once and evaluates the
-formula for every requested class on them.  count_cycles is one
-count_vector call.  step_walk is the one step composition; the
-exhaustive oracle runs it on whole blocks of gluings at once.
+fixed-point count.  block_counter is the only counter: built once for
+a gluing count N, a block size and a class tuple, it evaluates the
+formula on whole blocks of gluings, with one matrix product of the
+fixed-point counts and the Burnside weights.  The Monte Carlo counts
+its samples in blocks, the exhaustive oracle its 945-gluing blocks,
+and count_vector is the one-row call; count_cycles is one
+count_vector call.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
@@ -41,11 +43,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from randsurf.gluing import Gluing, step_arrays, _next_arrays
+from randsurf.gluing import Gluing, _next_arrays
 from randsurf.words import (
     WordClass,
     canonicalize,
@@ -74,32 +76,6 @@ class SpectrumReport:
         return self.counts.get(canonicalize(word), 0)
 
 
-def step_walk(steps: Mapping[str, np.ndarray], word: str) -> np.ndarray:
-    """End point of the word-long step walk from every slot.
-
-    steps maps each turn to a step array whose entries index the array
-    itself: one gluing's label-indexed arrays, or a block of gluings
-    laid out as flat indices.  word must be a nonempty word in L and R,
-    such as a class's canonical word; it is not checked here.
-    """
-    f = steps[word[0]]
-    for turn in word[1:]:
-        f = steps[turn][f]
-    return f
-
-
-def fixed_point_count(
-    steps: Mapping[str, np.ndarray], labels: np.ndarray, word: str
-) -> int:
-    """Number of sides s with the word-long step walk returning to s.
-
-    steps maps each turn to its step array of one gluing and labels is
-    np.arange(6N + 1).
-    """
-    # slot 0 is a dummy that every step array fixes
-    return int(np.count_nonzero(step_walk(steps, word) == labels)) - 1
-
-
 def _totient(n: int) -> int:
     return sum(1 for r in range(1, n + 1) if math.gcd(r, n) == 1)
 
@@ -114,28 +90,97 @@ def _burnside_terms(canonical: str) -> tuple[tuple[str, int], ...]:
     )
 
 
+def block_counter(
+    n: int, rows: int, classes: Sequence[WordClass]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Z_[w] of every row of a partner block, as a (B, C) int64 array.
+
+    The counter takes (B, 6N + 1) blocks of partner rows, 1 <= B <= rows.
+    Its step arrays hold flat slots, b * (6N + 1) + s for label s of row
+    b, so one take composes every row of the block at once.  The
+    prefixes of the classes' words are walked depth first, each one step
+    after its parent prefix, so a shared prefix is walked once.  The
+    fixed points of the Burnside prefixes w[:d], one count per (prefix,
+    row), meet the Burnside weights in one matrix product: the weight
+    matrix has a row per distinct prefix and a column per class, and
+    each entry is phi(k/d) * |[w]|.
+    """
+    width = 6 * n + 1
+    size = rows * width
+    if not classes:
+        return lambda block: np.zeros((len(block), 0), dtype=np.int64)
+    prefixes: dict[str, int] = {}
+    weights = []
+    for c, cls in enumerate(classes):
+        for prefix, weight in _burnside_terms(cls.canonical):
+            if prefix not in prefixes:
+                prefixes[prefix] = len(weights)
+                weights.append([0] * len(classes))
+            weights[prefixes[prefix]][c] = weight * cls.class_size
+    weights = np.array(weights, dtype=np.int64)
+    twice_k = np.array([2 * cls.word_length for cls in classes], dtype=np.int64)
+    terms = len(prefixes)
+
+    # The arrays are refilled in place for each block, since fresh ones
+    # cost about as much in page faults as the counting.  Depth first,
+    # one walk per prefix length is kept.
+    base = np.repeat(np.arange(0, size, width), width)  # first slot of the row
+    # every slot's own index, except that slot 0 of each row, a dummy
+    # that every walk fixes, is never counted
+    home = np.arange(size)
+    home[::width] = -1
+    # each slot's next side after each turn, as a slot of the same row
+    gathers = {turn: base + np.tile(nxt, rows) for turn, nxt in zip("LR", _next_arrays(n))}
+    crossed = np.zeros(size, dtype=np.intp)  # the block's partners as slots
+    steps = dict(zip("LR", np.zeros((2, size), dtype=np.intp)))
+    depth = max(map(len, prefixes))
+    levels = list(np.zeros((depth - 1, size), dtype=np.intp))
+    fixed = np.zeros((terms, size), dtype=bool)
+    # (length - 1, last turn, prefix row or None, target) of every prefix;
+    # a string sorts right after its prefixes and before its siblings
+    order = [
+        (len(u) - 1, u[-1], prefixes.get(u), levels[len(u) - 2] if len(u) > 1 else None)
+        for u in sorted({u[:j] for u in prefixes for j in range(1, len(u) + 1)})
+    ]
+
+    def count(block: np.ndarray) -> np.ndarray:
+        b = len(block)
+        used = b * width
+        # the rows past a short block keep slots of an earlier block,
+        # which stay in range and are never counted; mode="clip" keeps
+        # take from buffering its output
+        np.add(block.reshape(-1), base[:used], out=crossed[:used])
+        for turn, gather in gathers.items():
+            crossed.take(gather[:used], out=steps[turn][:used], mode="clip")
+        walks = [None] * depth  # walks[j]: the current prefix of length j + 1
+        for j, turn, p, target in order:
+            step = steps[turn]
+            walks[j] = step if j == 0 else step.take(walks[j - 1], out=target, mode="clip")
+            if p is not None:
+                np.equal(walks[j], home, out=fixed[p])
+        # fixed slot i of prefix p counts for row i // width of block p
+        slots = np.flatnonzero(fixed[:, :used]) // width
+        counts = np.bincount(slots, minlength=terms * b).reshape(terms, b)
+        totals = counts.T @ weights
+        out, rest = np.divmod(totals, twice_k)
+        if np.count_nonzero(rest):
+            row, c = np.argwhere(rest)[0]
+            raise ArithmeticError(
+                f"Burnside sum {totals[row, c]} for {classes[c].canonical}"
+                f" is not divisible by {twice_k[c]}"
+            )
+        return out
+
+    return count
+
+
 def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
     """Z_[w] for the requested classes, in the requested order.
 
-    Burnside's lemma over step arrays built once for the gluing; a
-    primitive class costs one fixed-point count.
+    The one-row call of block_counter.
     """
-    step_l, step_r = step_arrays(g)
-    steps = {"L": step_l, "R": step_r}
-    labels = np.arange(6 * g.half_count + 1)
-    counts = {}
-    for cls in classes:
-        total = 0
-        for prefix, weight in _burnside_terms(cls.canonical):
-            total += weight * fixed_point_count(steps, labels, prefix)
-        total *= cls.class_size
-        twice_k = 2 * cls.word_length
-        if total % twice_k:
-            raise ArithmeticError(
-                f"Burnside sum {total} for {cls.canonical} is not divisible by {twice_k}"
-            )
-        counts[cls] = total // twice_k
-    return counts
+    counts = block_counter(g.half_count, 1, classes)(g.partner[None])[0]
+    return dict(zip(classes, counts.tolist()))
 
 
 def count_cycles(g: Gluing, m: int) -> SpectrumReport:

@@ -10,8 +10,9 @@ for the five classes of trace <= 6.
 The gluings are walked in blocks: the pairs of the smallest labels
 are fixed one at a time until 10 labels are left, and a block of 945
 partner rows fills those from one cached table of matchings.  The
-class counts of a whole block come from one step walk over its
-stacked step arrays, with the Burnside weights of count_vector.
+class counts of a whole block come from cycles.block_counter, built
+once with 945 rows, the counter that count_vector and the Monte Carlo
+use as well.
 
 The representation check compares, for one word w, the exact mean of
 the direct class count against the mean predicted by summing
@@ -29,15 +30,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
 
 from randsurf.bounds import a_k_n, p_k_n
-from randsurf.cycles import _burnside_terms, step_walk
+from randsurf.cycles import block_counter
 from randsurf.dists import FiniteDistribution, product_poisson_on, tv_distance
-from randsurf.gluing import Gluing, _next_arrays, next_side, triangle_of
+from randsurf.gluing import Gluing, next_side, triangle_of
 from randsurf.words import WordClass, canonicalize, check_word
 
 MAX_EXHAUSTIVE_N = 3
@@ -131,50 +132,6 @@ def enumerate_all_gluings(n: int, allow_heavy: bool = False) -> Iterator[Gluing]
             yield Gluing._trusted(n, partner)
 
 
-def _block_counter(
-    n: int, classes: Sequence[WordClass]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """count_vector of every row of a partner block, as a (B, C) array.
-
-    A block's step arrays are laid out label-major: the step of label s
-    in row b sits at the flat index s * B + b.  One step_walk then
-    composes every row at once, and the fixed points of a row are a sum
-    down one column of the (6N + 1, B) comparison.  The step arrays are
-    refilled in place for each block, since fresh arrays of this size
-    cost about as much in page faults as the counting itself.
-    """
-    rows = len(_matching_table(min(6 * n, BLOCK_LABELS)))
-    width = 6 * n + 1
-    flat = np.arange(width * rows).reshape(width, rows)
-    nexts = dict(zip("LR", _next_arrays(n)))
-    steps = {turn: np.empty(width * rows, dtype=np.intp) for turn in nexts}
-
-    def count(block: np.ndarray) -> np.ndarray:
-        for turn, nxt in nexts.items():
-            crossed = steps[turn].reshape(width, rows)
-            np.multiply(block.T[nxt], rows, out=crossed, dtype=np.intp)
-            crossed += flat[0]
-        out = np.empty((rows, len(classes)), dtype=np.int64)
-        for i, cls in enumerate(classes):
-            total = 0
-            for prefix, weight in _burnside_terms(cls.canonical):
-                hits = step_walk(steps, prefix).reshape(width, rows) == flat
-                # label 0 is a dummy that every step array fixes
-                total = total + weight * np.count_nonzero(hits[1:], axis=0)
-            total = total * cls.class_size
-            twice_k = 2 * cls.word_length
-            bad = np.flatnonzero(total % twice_k)
-            if bad.size:
-                raise ArithmeticError(
-                    f"Burnside sum {total[bad[0]]} for {cls.canonical}"
-                    f" is not divisible by {twice_k}"
-                )
-            out[:, i] = total // twice_k
-        return out
-
-    return count
-
-
 def _distinct_rows(counts: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each distinct row of counts with its multiplicity, by first appearance.
 
@@ -224,7 +181,7 @@ def exact_joint_distribution(
         raise ValueError("use at least 50 digits for the exact distance")
 
     classes = tuple(classes)
-    count = _block_counter(n, classes)
+    count = block_counter(n, len(_matching_table(min(6 * n, BLOCK_LABELS))), classes)
     law_counts: Counter = Counter()
     for block in _gluing_blocks(n):
         # merged in enumeration order, so atoms keep their first appearance

@@ -145,12 +145,6 @@ def step(g: Gluing, side: int, turn: str) -> int:
     return int(g.partner[next_side(side, turn)])
 
 
-def step_arrays(g: Gluing) -> tuple[np.ndarray, np.ndarray]:
-    """step as label-indexed arrays, one per turn (slot 0 is a dummy)."""
-    left, right = _next_arrays(g.half_count)
-    return g.partner[left], g.partner[right]
-
-
 def vertex_permutation(g: Gluing) -> np.ndarray:
     """Permutation whose orbits are the cusps: cross over, then turn Left."""
     left, _ = _next_arrays(g.half_count)

@@ -5,6 +5,16 @@ accumulators are histograms of integer outcomes, merged in fixed chunk
 order, and ``summarize`` derives every reported sum from them, so
 results do not depend on chunk scheduling.  Workers therefore change
 wall time, never output.
+
+A chunk of CHUNK samples is counted in blocks of at most SIDE_BUDGET
+partner entries: 67 samples at N = 10, one sample at N = 1000.  Each
+block's gluings are sampled, counted with one call of the shared
+block counter, tallied in sample order and dropped.  The budget keeps
+a block's arrays small at every N.  Large blocks gain nothing there:
+at N = 1000, counting 32 samples over the trace <= 7 classes took
+6.4-6.7 ms as one 32-sample block and as 32 one-sample blocks alike
+(2-core Xeon, in process), while each of the counter's arrays holds
+48 kB per row.
 """
 
 from __future__ import annotations
@@ -16,8 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import count_vector
+from randsurf.cycles import block_counter
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
@@ -28,6 +40,7 @@ from randsurf.gluing import sample_uniform_gluing, topology
 from randsurf.words import WordClass
 
 CHUNK = 256  # fixed work unit, deliberately independent of the worker count
+SIDE_BUDGET = 4096  # partner entries counted in one block: 67 rows at N = 10
 
 
 @dataclass(frozen=True)
@@ -68,11 +81,22 @@ class Tallies:
 
 
 def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
+    """Tallies of samples start..stop-1, counted in blocks of SIDE_BUDGET sides."""
     t = Tallies()
-    for index in range(start, stop):
-        g = sample_uniform_gluing(plan.half_count, plan.seed, index)
-        t.joint[tuple(count_vector(g, plan.classes).values())] += 1
-        if plan.with_topology:
+    n = plan.half_count
+    width = 6 * n + 1
+    rows = max(1, min(CHUNK, SIDE_BUDGET // width))
+    count = block_counter(n, rows, plan.classes)
+    block = np.empty((rows, width), dtype=np.intp)
+    for first in range(start, stop, rows):
+        gluings = []
+        for row, index in enumerate(range(first, min(first + rows, stop))):
+            g = sample_uniform_gluing(n, plan.seed, index)
+            block[row] = g.partner
+            if plan.with_topology:
+                gluings.append(g)
+        t.joint.update(map(tuple, count(block[: row + 1]).tolist()))
+        for g in gluings:
             top = topology(g)
             t.shapes[top.component_count, top.total_genus, top.cusp_count] += 1
     return t

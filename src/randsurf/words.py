@@ -190,9 +190,16 @@ def canonicalize(word: str) -> WordClass:
     )
 
 
-def _binary_necklaces(n: int) -> Iterator[str]:
-    """Lex-least rotation representatives of binary strings of length n."""
+def _binary_necklaces(n: int, max_trace: int | None = None) -> Iterator[str]:
+    """Lex-least rotation representatives of binary strings of length n.
+
+    With max_trace, only words of trace <= max_trace are listed.  The
+    letter matrices have nonnegative entries and a unit diagonal, so
+    appending a letter never lowers the trace, and a prefix past
+    max_trace is not extended.
+    """
     a = [0] * (n + 1)
+    prefix = [IDENTITY] * (n + 1)  # prefix[t]: matrix of the letters a[1..t]
     letters = ALPHABET
 
     def gen(t: int, p: int) -> Iterator[str]:
@@ -200,13 +207,31 @@ def _binary_necklaces(n: int) -> Iterator[str]:
             if n % p == 0:
                 yield "".join(letters[a[i]] for i in range(1, n + 1))
             return
-        a[t] = a[t - p]
-        yield from gen(t + 1, p)
+        choices = [(a[t - p], p)]
         if a[t - p] == 0:
-            a[t] = 1
-            yield from gen(t + 1, t)
+            choices.append((1, t))
+        for bit, period in choices:
+            if max_trace is not None:
+                prefix[t] = prefix[t - 1] * _LETTER_MATRIX[letters[bit]]
+                if prefix[t].trace > max_trace:
+                    continue
+            a[t] = bit
+            yield from gen(t + 1, period)
 
     yield from gen(1, 1)
+
+
+def _canonical_necklaces(m_max: int, max_trace: int | None = None) -> list[WordClass]:
+    """Classes of word length <= m_max (and trace <= max_trace), sorted."""
+    out = []
+    for m in range(1, m_max + 1):
+        for neck in _binary_necklaces(m, max_trace):
+            cls = canonicalize(neck)
+            # each class holds one or two necklaces, keep the smaller
+            if cls.canonical == neck:
+                out.append(cls)
+    out.sort()
+    return out
 
 
 def enumerate_classes_by_length(m_max: int) -> list[WordClass]:
@@ -217,15 +242,7 @@ def enumerate_classes_by_length(m_max: int) -> list[WordClass]:
     """
     if not 1 <= m_max <= MAX_ENUM_LENGTH:
         raise ValueError(f"m_max must be in 1..{MAX_ENUM_LENGTH}, got {m_max}")
-    out = []
-    for m in range(1, m_max + 1):
-        for neck in _binary_necklaces(m):
-            cls = canonicalize(neck)
-            # each class holds one or two necklaces, keep the smaller
-            if cls.canonical == neck:
-                out.append(cls)
-    out.sort()
-    return out
+    return _canonical_necklaces(m_max)
 
 
 @dataclass(frozen=True)
@@ -252,11 +269,10 @@ def enumerate_classes_by_trace(k: int) -> TraceCensus:
     """Census of classes with 3 <= trace <= k.
 
     A mixed word of length m has trace at least m + 1, so it is enough
-    to enumerate lengths up to k - 1.  Parabolic classes never qualify.
+    to enumerate lengths up to k - 1, and necklace prefixes of trace
+    above k are not extended.  Parabolic classes never qualify.
     """
     if not MIN_TRACE <= k <= MAX_TRACE:
         raise ValueError(f"max trace must be in {MIN_TRACE}..{MAX_TRACE}, got {k}")
-    classes = tuple(
-        c for c in enumerate_classes_by_length(k - 1) if MIN_TRACE <= c.trace <= k
-    )
+    classes = tuple(c for c in _canonical_necklaces(k - 1, k) if c.trace >= MIN_TRACE)
     return TraceCensus(max_trace=k, classes=classes)

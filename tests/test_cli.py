@@ -132,6 +132,23 @@ def test_empty_classes_is_a_usage_error(command, capsys):
     assert "--classes needs at least one word" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["words", "--max-trace", "2"],
+        ["stats", "--n", "2", "--samples", "10", "--classes", "LX"],
+        ["bound", "--n", "2", "--classes", "LLR"],
+        ["oracle", "--n", "1", "--max-trace", "4", "--dps", "10"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_usage_errors_print_the_subcommand_usage(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: randsurf {command[0]} ")
+
+
 def test_stats_csv_is_a_flat_class_table(tmp_path):
     text = run_cli(
         ["stats", "--n", "4", "--samples", "100", "--classes", "LR,LLR",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from randsurf.cycles import (
     count_vector,
 )
 from randsurf.exact import enumerate_all_gluings
-from randsurf.gluing import Gluing, sample_uniform_gluing, step_arrays
+from randsurf.gluing import Gluing, sample_uniform_gluing
 from randsurf.words import (
     canonicalize,
     enumerate_classes_by_length,
@@ -121,25 +122,50 @@ def test_burnside_terms_weigh_every_rotation_once():
         assert (len(terms) == 1) == cls.primitive
 
 
-def test_indivisible_burnside_sum_raises(monkeypatch, torus_gluing):
-    monkeypatch.setattr(cycles, "fixed_point_count", lambda steps, labels, word: 1)
-    with pytest.raises(ArithmeticError):
-        count_vector(torus_gluing, [canonicalize("LR")])
+def test_indivisible_burnside_sum_raises(torus_gluing):
+    # a class whose size does not match its word: the torus has 6 fixed
+    # points along LR, and 1 * 6 is not divisible by 2 * 2
+    wrong = replace(canonicalize("LR"), class_size=1)
+    with pytest.raises(ArithmeticError, match="not divisible by 4"):
+        count_vector(torus_gluing, [wrong])
 
 
-def test_step_arrays_are_built_once_per_gluing(monkeypatch):
-    calls = []
+class _CountedReads(np.ndarray):
+    """A partner block that counts the reads made from it and its views."""
 
-    def counted(g):
-        calls.append(g)
-        return step_arrays(g)
+    reads = 0
 
-    monkeypatch.setattr(cycles, "step_arrays", counted)
+    def __getitem__(self, key):
+        _CountedReads.reads += 1
+        return super().__getitem__(key)
+
+    def take(self, *args, **kwargs):
+        _CountedReads.reads += 1
+        return super().take(*args, **kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedReads.reads += 1
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountedReads) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_step_arrays_are_built_once_per_gluing():
     classes = enumerate_classes_by_trace(7).classes
     assert canonicalize("LRLR") in classes  # two Burnside terms
-    g = sample_uniform_gluing(10, seed=4, index=0)
-    count_vector(g, classes)
-    assert calls == [g]
+    gluings = [sample_uniform_gluing(10, seed=4, index=i) for i in range(3)]
+    want = [list(count_vector(g, classes).values()) for g in gluings]
+    block = np.stack([g.partner for g in gluings]).view(_CountedReads)
+    _CountedReads.reads = 0
+    assert cycles.block_counter(10, 3, classes)(block).tolist() == want
+    # the block is read once, into the slots both step arrays gather
+    # from, whatever the classes
+    assert _CountedReads.reads == 1
+
+
+def test_no_classes_count_to_empty_rows(torus_gluing):
+    assert count_vector(torus_gluing, []) == {}
+    block = np.stack([torus_gluing.partner] * 3)
+    assert cycles.block_counter(1, 4, [])(block).shape == (3, 0)
 
 
 def test_count_vector_handles_non_primitive_classes(torus_gluing):

@@ -1,15 +1,14 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from randsurf import exact
-from randsurf.cycles import count_vector
+from randsurf.cycles import block_counter, brute_force_counts, count_vector
 from randsurf.exact import (
-    _block_counter,
     _distinct_rows,
     _gluing_blocks,
     containment_probability,
@@ -63,10 +62,36 @@ def test_blocks_list_every_gluing_in_the_enumeration_order(n, blocks):
     assert all(g.partner.dtype == np.int64 for g in gluings)
 
 
+def _brute_force_row(g, classes):
+    ref = brute_force_counts(g, max(c.word_length for c in classes))
+    return [ref.get(c, 0) for c in classes]
+
+
+def test_block_counts_equal_brute_force_on_every_n1_gluing():
+    (block,) = _gluing_blocks(1)
+    got = block_counter(1, len(block), ALL_TO_SIX)(block)
+    want = [_brute_force_row(g, ALL_TO_SIX) for g in enumerate_all_gluings(1)]
+    assert got.tolist() == want
+
+
+def test_block_counts_equal_brute_force_on_sampled_n2_gluings():
+    blocks = list(_gluing_blocks(2))
+    count = block_counter(2, 945, ALL_TO_SIX)
+    rng = random.Random(11)
+    for index in (0, 5, len(blocks) - 1):
+        block = blocks[index]
+        got = count(block)
+        for row in {0, 944, *rng.sample(range(1, 944), 6)}:
+            g = Gluing(2, block[row].astype(np.int64))
+            assert got[row].tolist() == _brute_force_row(g, ALL_TO_SIX), (index, row)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_block_counts_equal_count_vector_on_every_small_gluing(n):
-    count = _block_counter(n, ALL_TO_SIX)
-    got = np.concatenate([count(block) for block in _gluing_blocks(n)])
+    # whole blocks against one-row calls of the same counter: rows never mix
+    blocks = list(_gluing_blocks(n))
+    count = block_counter(n, len(blocks[0]), ALL_TO_SIX)
+    got = np.concatenate([count(block) for block in blocks])
     want = [list(count_vector(g, ALL_TO_SIX).values()) for g in enumerate_all_gluings(n)]
     assert got.tolist() == want
 
@@ -74,7 +99,7 @@ def test_block_counts_equal_count_vector_on_every_small_gluing(n):
 def test_block_counts_equal_count_vector_on_sampled_n3_blocks():
     blocks = 17 * 15 * 13 * 11
     picked = {0, blocks - 1, *random.Random(3).sample(range(1, blocks - 1), 4)}
-    count = _block_counter(3, ALL_TO_SIX)
+    count = block_counter(3, 945, ALL_TO_SIX)
     seen = 0
     for index, block in enumerate(_gluing_blocks(3)):
         seen += 1
@@ -87,20 +112,24 @@ def test_block_counts_equal_count_vector_on_sampled_n3_blocks():
     assert seen == blocks
 
 
-def test_indivisible_block_sum_raises(monkeypatch, lr):
-    # the block's flat slots are label-major, 15 rows per label at N = 1:
-    # fix label 1 of every row and nothing else, so Z_[LR] = 2 * 1 / 4
-    def one_fixed_side(steps, word):
-        walk = np.zeros(len(steps["L"]), dtype=np.intp)
-        walk[15:30] = np.arange(15, 30)
-        return walk
+def test_short_blocks_count_only_their_own_rows():
+    blocks = list(_gluing_blocks(2))
+    count = block_counter(2, 945, ALL_TO_SIX)
+    full = count(blocks[3])
+    count(blocks[4])  # leaves other rows behind in the counter's arrays
+    assert count(blocks[3][:17]).tolist() == full[:17].tolist()
+    assert count(blocks[3][-1:]).tolist() == full[-1:].tolist()
 
-    monkeypatch.setattr(exact, "step_walk", one_fixed_side)
+
+def test_indivisible_block_sum_raises(lr):
+    # a class whose size does not match its word: at N = 1 the Burnside
+    # sum of [LR] is 0 or 6 fixed points, and 6 is not divisible by 4
+    wrong = replace(lr, class_size=1)
     (block,) = _gluing_blocks(1)
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
-        _block_counter(1, [lr])(block)
+        block_counter(1, len(block), [wrong])(block)
     with pytest.raises(ArithmeticError):
-        exact_joint_distribution([lr], 1)
+        exact_joint_distribution([wrong], 1)
 
 
 def test_distinct_rows_keep_first_appearance_and_multiplicity():

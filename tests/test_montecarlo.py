@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from randsurf.cycles import count_vector
+from randsurf.cycles import brute_force_counts, count_vector
 from randsurf.gluing import sample_uniform_gluing, topology
 from randsurf.montecarlo import (
     CHUNK,
+    SIDE_BUDGET,
     ExperimentPlan,
     run_plan,
     summarize,
@@ -73,6 +74,29 @@ def test_run_plan_tallies_equal_count_vector_sums_with_non_primitive_classes():
     assert hist_sums == sums
     assert not tallies.shapes  # topology off: no shape is tallied
     assert summarize(plan, tallies).per_class[2].mean == Fraction(sums[2], 30)
+
+
+@pytest.mark.parametrize("n, samples, rows", [(10, CHUNK + 150, 67), (700, 5, 1)])
+def test_blocked_tallies_equal_a_per_sample_brute_force_loop(n, samples, rows):
+    # chunks of 256 are counted in blocks of rows samples: at N = 10 the
+    # 67-row blocks divide neither a chunk nor the 406 samples, so short
+    # blocks and a short chunk occur; at N = 700 every block is one sample
+    assert max(1, min(CHUNK, SIDE_BUDGET // (6 * n + 1))) == rows
+    classes = tuple(canonicalize(w) for w in ("LR", "LL", "LLR"))
+    plan = ExperimentPlan(half_count=n, classes=classes, samples=samples, seed=8)
+    tallies = run_plan(plan)
+
+    joint = Counter()
+    shapes = Counter()
+    for i in range(samples):
+        g = sample_uniform_gluing(n, 8, i)
+        ref = brute_force_counts(g, 3)
+        joint[tuple(ref.get(c, 0) for c in classes)] += 1
+        top = topology(g)
+        shapes[top.component_count, top.total_genus, top.cusp_count] += 1
+    assert tallies.joint == joint
+    assert list(tallies.joint) == list(joint)  # atoms in order of first appearance
+    assert tallies.shapes == shapes
 
 
 def test_worker_counts_agree_even_mid_chunk(lr):

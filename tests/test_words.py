@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from randsurf.words import (
     MAX_ENUM_LENGTH,
+    MAX_TRACE,
+    MIN_TRACE,
     WordMatrix,
     canonicalize,
     check_word,
@@ -152,6 +154,21 @@ def test_census_growth_is_monotone():
     counts = [enumerate_classes_by_trace(k).count for k in range(3, 16)]
     assert counts == sorted(counts)
     assert counts[0] == 1
+
+
+def test_pruned_trace_census_equals_the_length_census_filtered_by_trace():
+    for k in range(MIN_TRACE, 17):
+        by_length = enumerate_classes_by_length(k - 1)
+        want = tuple(c for c in by_length if MIN_TRACE <= c.trace <= k)
+        assert enumerate_classes_by_trace(k).classes == want, k
+
+
+def test_census_at_the_largest_trace():
+    census = enumerate_classes_by_trace(MAX_TRACE)
+    assert MAX_TRACE == 25
+    assert census.count == 59
+    assert census.max_word_length == 24  # L^23 R, trace 25
+    assert all(3 <= c.trace <= 25 for c in census.classes)
 
 
 def test_enumeration_guards():
