@@ -72,9 +72,6 @@ class SpectrumReport:
     counts: Mapping[WordClass, int]
     shortest_geodesic_length: float | None
 
-    def count_of(self, word: str) -> int:
-        return self.counts.get(canonicalize(word), 0)
-
 
 def _totient(n: int) -> int:
     return sum(1 for r in range(1, n + 1) if math.gcd(r, n) == 1)
@@ -174,12 +171,23 @@ def block_counter(
     return count
 
 
+@lru_cache(maxsize=8)
+def _row_counter(n: int, classes: tuple[WordClass, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The one-row block_counter of (N, classes), built once for a loop over gluings.
+
+    Bounded, since a counter keeps its arrays: one bool row of 6N + 1
+    per Burnside prefix.
+    """
+    return block_counter(n, 1, classes)
+
+
 def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
     """Z_[w] for the requested classes, in the requested order.
 
     The one-row call of block_counter.
     """
-    counts = block_counter(g.half_count, 1, classes)(g.partner[None])[0]
+    classes = tuple(classes)
+    counts = _row_counter(g.half_count, classes)(g.partner[None])[0]
     return dict(zip(classes, counts.tolist()))
 
 

@@ -13,14 +13,6 @@ partner rows fills those from one cached table of matchings.  The
 class counts of a whole block come from cycles.block_counter, built
 once with 945 rows, the counter that count_vector and the Monte Carlo
 use as well.
-
-The representation check compares, for one word w, the exact mean of
-the direct class count against the mean predicted by summing
-containment probabilities over every side sequence with word w,
-scaled by |[w]|/(2|w|).  The two agree whenever no cycle with word w
-can coincide with a shifted or reflected copy of itself; proper
-powers of shorter words do disagree, and the report quantifies the
-gap instead of hiding it.
 """
 
 from __future__ import annotations
@@ -29,17 +21,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
 
-from randsurf.bounds import a_k_n, p_k_n
 from randsurf.cycles import block_counter
 from randsurf.dists import FiniteDistribution, product_poisson_on, tv_distance
-from randsurf.gluing import Gluing, next_side, triangle_of
-from randsurf.words import WordClass, canonicalize, check_word
+from randsurf.gluing import Gluing
+from randsurf.words import WordClass
 
 MAX_EXHAUSTIVE_N = 3
 MAX_EXACT_WORD_LENGTH = 6
@@ -210,85 +200,4 @@ def exact_joint_distribution(
             for i, c in enumerate(classes)
         },
         exact_mtv=mtv,
-    )
-
-
-def containment_probability(alpha_sides: Sequence[int], word: str, n: int) -> Fraction:
-    """P[alpha is part of a uniform gluing] for the side sequence alpha.
-
-    alpha is the cycle blueprint visiting the given entry sides with
-    the given turns; it lies in a gluing exactly when every exit label
-    is matched to the next entry label.  The probability is p_{r,N}
-    with r the number of distinct forced pairs, or 0 when two forced
-    pairs clash on a label.
-    """
-    k = len(word)
-    if len(alpha_sides) != k:
-        raise ValueError("side sequence and word must have equal length")
-    forced = set()
-    for j in range(k):
-        x = next_side(alpha_sides[j], word[j])
-        y = alpha_sides[(j + 1) % k]
-        if x == y:
-            return Fraction(0)
-        forced.add((x, y) if x < y else (y, x))
-    used: dict[int, tuple[int, int]] = {}
-    for pair in forced:
-        for label in pair:
-            if label in used:
-                return Fraction(0)
-            used[label] = pair
-    return p_k_n(len(forced), n)
-
-
-@dataclass(frozen=True)
-class RepresentationReport:
-    word: str
-    half_count: int
-    word_class: WordClass
-    direct_mean: Fraction
-    representation_mean: Fraction
-    difference: Fraction
-    gamma_size: int
-    distinct_triangle_count: int
-    distinct_triangle_expected: int
-
-
-def representation_check(word: str, n: int) -> RepresentationReport:
-    """Exact mean of the class count vs the containment-sum prediction."""
-    check_word(word)
-    if not 1 <= n <= 2:
-        raise ValueError("representation check runs at N in {1, 2}")
-    k = len(word)
-    if k > MAX_EXACT_WORD_LENGTH:
-        raise ValueError(f"word longer than {MAX_EXACT_WORD_LENGTH}")
-
-    cls = canonicalize(word)
-    direct_mean = exact_joint_distribution([cls], n).exact_means[cls]
-
-    prob_sum = Fraction(0)
-    by_rank: Counter = Counter()
-    distinct = 0
-    for sides in product(range(1, 6 * n + 1), repeat=k):
-        prob = containment_probability(sides, word, n)
-        if len({triangle_of(s) for s in sides}) == k:
-            if prob != p_k_n(k, n):
-                raise RuntimeError(f"distinct-triangle alpha {sides} must force {k} pairs")
-            distinct += 1
-        if prob:
-            by_rank[prob] += 1
-    for prob, cnt in by_rank.items():
-        prob_sum += cnt * prob
-
-    rep_mean = cls.lam * prob_sum
-    return RepresentationReport(
-        word=word,
-        half_count=n,
-        word_class=cls,
-        direct_mean=direct_mean,
-        representation_mean=rep_mean,
-        difference=direct_mean - rep_mean,
-        gamma_size=(6 * n) ** k,
-        distinct_triangle_count=distinct,
-        distinct_triangle_expected=a_k_n(k, n) if k <= 2 * n else 0,
     )

@@ -11,10 +11,17 @@ gives the step map, which is a bijection on labels for each turn.
 
 Labels are 1-based everywhere in this module; the partner array keeps
 a dummy slot 0 mapped to itself.
+
+Sample i of a seed pairs off consecutive entries of permutation(6N)
+drawn from PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(i,)).
+No SeedSequence is built: the sampler runs numpy's SeedSequence hash
+on whole blocks of 256 spawn keys and hands each sample its row of
+state words, which yields the same streams bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -118,18 +125,130 @@ class Gluing:
         return tuple(out)
 
 
+SEED_BLOCK = 256  # spawn keys seeded in one pass; a power of two <= 2^32
+
+# numpy's SeedSequence: a pool of 4 uint32 words and its hash constants
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A nonnegative int as little-endian 32-bit words, as SeedSequence reads it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=4)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """PCG64 state words of the spawn keys of one block, as (SEED_BLOCK, 4) uint64.
+
+    Row r equals SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(4, np.uint64) for i = block * SEED_BLOCK + r: the
+    same hash, run once for the whole block.  Each hashed word is a
+    Python int or a uint32 array with a value per row, and every
+    product is masked to 32 bits, so ints and arrays wrap alike and no
+    numpy scalar ever overflows.  The run entropy is padded with zeros
+    to the pool size, as it is whenever a spawn key is given, so it
+    fills the pool alone and mixes as ints; the varying low word of
+    the spawn key makes the pool an array.  A block never straddles a
+    multiple of 2^32, so its keys share a word count.
+
+    Cached and shared, hence read-only.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    run = _uint32_words(seed)
+    run += [0] * (_POOL - len(run))
+    low, *high = _uint32_words(block * SEED_BLOCK)
+    spawn = [np.arange(low, low + SEED_BLOCK, dtype=np.uint32), *high]
+
+    pool = [hashmix(word) for word in run[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in run[_POOL:] + spawn:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = np.empty((SEED_BLOCK, 2 * _POOL), dtype="<u4")
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ value >> 16
+    # word pairs read as little-endian uint64, as generate_state does
+    words = state.view("<u8").astype(np.uint64)
+    words.setflags(write=False)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _generator_from_state():
+    """A function from 4 PCG64 state words to Generator(PCG64(...)).
+
+    numpy.random is imported here, on the first sample, so that
+    importing randsurf does not load it.  PCG64 seeds itself from
+    generate_state(4, np.uint64) of the seed sequence it is given, so
+    a stand-in that returns precomputed words gives the generator of
+    the SeedSequence they came from.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's 4 uint64 state words are held")
+            return self.words
+
+    return lambda words: Generator(PCG64(StateWords(words)))
+
+
 def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     """Uniform gluing from the stream determined by (seed, index).
 
-    The sample depends only on the pair (seed, index): drawing sample
-    index i is identical whether it happens in a serial loop or inside
-    a worker, which is what makes parallel runs reproducible.
+    The sample is the permutation(6N) of Generator(PCG64(s)) with
+    s = SeedSequence(entropy=seed, spawn_key=(index,)), paired off in
+    consecutive sides.  The state words of s come from _seed_block,
+    computed for SEED_BLOCK consecutive indices at once; the stream is
+    the same bit for bit.  The sample depends only on the pair (seed,
+    index): drawing sample index i is identical whether it happens in a
+    serial loop or inside a worker, which is what makes parallel runs
+    reproducible.
     """
     _check_half_count(n)
+    # Python ints, so that the hash's products never meet a numpy scalar
+    seed, index = operator.index(seed), operator.index(index)
     if seed < 0 or index < 0:
         raise ValueError("seed and index must be nonnegative integers")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    perm = np.random.default_rng(ss).permutation(6 * n)
+    block, row = divmod(index, SEED_BLOCK)
+    rng = _generator_from_state()(_seed_block(seed, block)[row])
+    perm = rng.permutation(6 * n)
     partner = np.zeros(6 * n + 1, dtype=np.int64)
     left = perm[0::2] + 1
     right = perm[1::2] + 1

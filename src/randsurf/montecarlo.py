@@ -1,6 +1,10 @@
 """Seeded Monte Carlo over gluings with reproducible parallelism.
 
-Sample i is always drawn from the stream keyed by (seed, i).  The only
+Sample i is always drawn from the stream keyed by (seed, i): PCG64
+seeded by SeedSequence(entropy=seed, spawn_key=(i,)), one
+sample_uniform_gluing call per sample.  The sampler hashes the seeds of
+SEED_BLOCK = 256 consecutive indices at once, and a chunk is the same
+256 indices, so each chunk pays for one hash pass.  The only
 accumulators are histograms of integer outcomes, merged in fixed chunk
 order, and ``summarize`` derives every reported sum from them, so
 results do not depend on chunk scheduling.  Workers therefore change

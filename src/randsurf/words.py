@@ -61,10 +61,6 @@ class WordMatrix:
     def trace(self) -> int:
         return self.a + self.d
 
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
 
 IDENTITY = WordMatrix(1, 0, 0, 1)
 MAT_L = WordMatrix(1, 1, 0, 1)

@@ -23,6 +23,10 @@ from randsurf.words import (
 )
 
 
+def count_of(report, word: str) -> int:
+    return report.counts.get(canonicalize(word), 0)
+
+
 def test_length_guard(torus_gluing):
     with pytest.raises(ValueError):
         count_cycles(torus_gluing, 0)
@@ -32,23 +36,23 @@ def test_length_guard(torus_gluing):
 
 def test_torus_counts(torus_gluing):
     report = count_cycles(torus_gluing, 4)
-    assert report.count_of("LR") == 3
-    assert report.count_of("LLRR") == 3
-    assert report.count_of("LRLR") == 3
-    assert report.count_of("L") == 0
-    assert report.count_of("LLR") == 0
+    assert count_of(report, "LR") == 3
+    assert count_of(report, "LLRR") == 3
+    assert count_of(report, "LRLR") == 3
+    assert count_of(report, "L") == 0
+    assert count_of(report, "LLR") == 0
     assert report.shortest_geodesic_length == pytest.approx(2 * math.acosh(1.5))
 
 
 def test_sphere_counts(sphere_gluing):
     report = count_cycles(sphere_gluing, 4)
-    assert report.count_of("L") == 2
-    assert report.count_of("LL") == 2
-    assert report.count_of("LLL") == 2
-    assert report.count_of("LLLL") == 3
-    assert report.count_of("LLRR") == 1
-    assert report.count_of("LR") == 0
-    assert report.count_of("LLR") == 0
+    assert count_of(report, "L") == 2
+    assert count_of(report, "LL") == 2
+    assert count_of(report, "LLL") == 2
+    assert count_of(report, "LLLL") == 3
+    assert count_of(report, "LLRR") == 1
+    assert count_of(report, "LR") == 0
+    assert count_of(report, "LLR") == 0
 
 
 def test_sphere_systole_estimate(sphere_gluing):
@@ -182,3 +186,24 @@ def test_count_vector_preserves_order_and_fills_zeros():
     assert list(vec) == classes
     for c in classes:
         assert vec[c] == full.get(c, 0)
+
+
+def test_count_vector_builds_one_counter_per_class_tuple(monkeypatch):
+    built = []
+    original = cycles.block_counter
+
+    def counting(*args):
+        built.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(cycles, "block_counter", counting)
+    cycles._row_counter.cache_clear()
+    classes = [canonicalize(w) for w in ("LR", "LLR", "LRLR")]
+    gluings = [sample_uniform_gluing(5, seed=23, index=i) for i in range(4)]
+    got = [count_vector(g, classes) for g in gluings]
+    assert built == [(5, 1)]
+    for g, vec in zip(gluings, got):
+        counts = brute_force_counts(g, 4)
+        assert vec == {c: counts.get(c, 0) for c in classes}
+    count_vector(gluings[0], classes[:2])
+    assert built == [(5, 1), (5, 1)]

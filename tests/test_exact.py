@@ -7,17 +7,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+from randsurf.bounds import a_k_n, p_k_n
 from randsurf.cycles import block_counter, brute_force_counts, count_vector
 from randsurf.exact import (
     _distinct_rows,
     _gluing_blocks,
-    containment_probability,
     enumerate_all_gluings,
     exact_joint_distribution,
     matching_count,
-    representation_check,
 )
-from randsurf.gluing import Gluing
+from randsurf.gluing import Gluing, next_side, triangle_of
 from randsurf.words import canonicalize, enumerate_classes_by_length
 
 # every class of length <= 6, proper powers (LL, LRLR, LLLL, LRLRLR, ...) included
@@ -187,6 +186,52 @@ def test_precision_guard(lr):
         exact_joint_distribution([lr, lr], 1)
 
 
+def containment_probability(sides: tuple[int, ...], word: str, n: int) -> Fraction:
+    """P[the cycle blueprint (sides, word) lies in a uniform gluing].
+
+    It lies in a gluing exactly when every exit label is matched to the
+    next entry label: probability p_{r,N} with r the number of distinct
+    forced pairs, or 0 when a forced pair is degenerate or two clash on
+    a label.
+    """
+    forced = set()
+    for j, turn in enumerate(word):
+        x, y = next_side(sides[j], turn), sides[(j + 1) % len(word)]
+        if x == y:
+            return Fraction(0)
+        forced.add((min(x, y), max(x, y)))
+    labels = [label for pair in forced for label in pair]
+    if len(set(labels)) < len(labels):
+        return Fraction(0)
+    return p_k_n(len(forced), n)
+
+
+def containment_mean(word: str, n: int) -> tuple[Fraction, int]:
+    """|[w]|/(2|w|) times the containment sum over all (6N)^k side sequences.
+
+    Also returns how many of those sequences visit k distinct
+    triangles, each of which must force k pairs.  This is an
+    independent route to the exact mean of Z_[w]; the two agree
+    whenever no cycle with word w coincides with a shifted or reflected
+    copy of itself, and proper powers disagree.
+    """
+    k = len(word)
+    total = Fraction(0)
+    distinct = 0
+    for sides in product(range(1, 6 * n + 1), repeat=k):
+        prob = containment_probability(sides, word, n)
+        if len({triangle_of(s) for s in sides}) == k:
+            assert prob == p_k_n(k, n), sides
+            distinct += 1
+        total += prob
+    return canonicalize(word).lam * total, distinct
+
+
+def exact_mean(word: str, n: int) -> Fraction:
+    cls = canonicalize(word)
+    return exact_joint_distribution([cls], n).exact_means[cls]
+
+
 def test_containment_hand_values():
     # repeated side labels can never force a consistent pair set
     assert containment_probability((1, 1), "LR", 1) == 0
@@ -199,33 +244,19 @@ def test_containment_hand_values():
 
 def test_representation_identity_for_primitive_words():
     for word, n in (("LR", 1), ("LR", 2), ("LLR", 2), ("LLRR", 1), ("LLRR", 2), ("L", 1)):
-        report = representation_check(word, n)
-        assert report.difference == 0, (word, n)
-        assert report.gamma_size == (6 * n) ** len(word)
-        assert report.distinct_triangle_count == report.distinct_triangle_expected
+        mean, distinct = containment_mean(word, n)
+        assert exact_mean(word, n) == mean, (word, n)
+        k = len(word)
+        assert distinct == (a_k_n(k, n) if k <= 2 * n else 0)
 
 
 def test_representation_gap_for_proper_powers():
     # the |[w]|/(2|w|) prefactor undercounts symmetric cycles of powers
-    ll_1 = representation_check("LL", 1)
-    assert ll_1.direct_mean == Fraction(9, 5)
-    assert ll_1.representation_mean == Fraction(6, 5)
-    assert ll_1.difference == Fraction(3, 5)
-
-    ll_2 = representation_check("LL", 2)
-    assert ll_2.difference == Fraction(6, 11)
-
-    lrlr = representation_check("LRLR", 1)
-    assert lrlr.direct_mean == Fraction(3, 5)
-    assert lrlr.representation_mean == Fraction(3, 10)
-    assert lrlr.difference == Fraction(3, 10)
-
-
-def test_representation_check_guards():
-    with pytest.raises(ValueError):
-        representation_check("LR", 3)
-    with pytest.raises(ValueError):
-        representation_check("LRLRLRL", 1)
+    assert exact_mean("LL", 1) == Fraction(9, 5)
+    assert containment_mean("LL", 1)[0] == Fraction(6, 5)
+    assert exact_mean("LL", 2) - containment_mean("LL", 2)[0] == Fraction(6, 11)
+    assert exact_mean("LRLR", 1) == Fraction(3, 5)
+    assert containment_mean("LRLR", 1)[0] == Fraction(3, 10)
 
 
 @pytest.mark.slow
@@ -236,9 +267,7 @@ def test_n3_law_of_lr_and_llr(lr, llr):
     # the containment sum over all 18^k side sequences is an independent
     # route to the mean of a primitive class
     for cls in (lr, llr):
-        sides = product(range(1, 19), repeat=cls.word_length)
-        total = sum(containment_probability(a, cls.canonical, 3) for a in sides)
-        assert n3.exact_means[cls] == cls.lam * total
+        assert n3.exact_means[cls] == containment_mean(cls.canonical, 3)[0]
     assert n3.exact_means == {lr: Fraction(9, 17), llr: Fraction(216, 221)}
     assert float(n3.exact_mtv) == pytest.approx(0.20282895139576498, abs=1e-15)
     mtv = [float(systems[n].exact_mtv) for n in (1, 2, 3)]

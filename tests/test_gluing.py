@@ -6,9 +6,11 @@ from scipy import stats as spstats
 
 from randsurf.exact import enumerate_all_gluings
 from randsurf.gluing import (
+    SEED_BLOCK,
     Gluing,
     TopologyReport,
     _next_arrays,
+    _seed_block,
     next_side,
     sample_uniform_gluing,
     step,
@@ -160,6 +162,43 @@ def test_sampled_partners_are_valid_gluings(monkeypatch, n):
 def test_sampling_guards():
     with pytest.raises(ValueError):
         sample_uniform_gluing(0, seed=1, index=0)
+    with pytest.raises(ValueError):
+        sample_uniform_gluing(1, seed=-1, index=0)
+    with pytest.raises(ValueError):
+        sample_uniform_gluing(1, seed=1, index=-1)
+
+
+# 2^128 + 1 has five run words, more than the pool holds, so no padding;
+# indices from 2^32 on have a two-word spawn key
+@pytest.mark.parametrize("seed", [0, 1, 97, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+@pytest.mark.parametrize("index", [0, 255, 256, 2**32 - 1, 2**32, 2**32 + 300])
+def test_seed_block_rows_equal_seed_sequence_state(seed, index):
+    block, row = divmod(index, SEED_BLOCK)
+    want = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)
+    got = _seed_block(seed, block)[row]
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+def test_seed_blocks_equal_seed_sequence_state_on_every_row():
+    for seed, block in ((0, 0), (97, 3), (2**64 + 5, 2**24 - 1), (2**32, 2**24)):
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(block * SEED_BLOCK + r,))
+            .generate_state(4, np.uint64)
+            for r in range(SEED_BLOCK)
+        ]
+        assert np.array_equal(_seed_block(seed, block), want)
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_samples_equal_the_seed_sequence_reference(n):
+    # the stream's one definition, built the slow way
+    cases = ((0, 0), (2024, 255), (2024, 256), (7, 2**32 + 9), (2**64 + 5, 1))
+    for seed, index in cases + ((np.int64(2**40 + 3), np.uint64(2**33 + 1)),):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        perm = np.random.default_rng(ss).permutation(6 * n) + 1
+        want = Gluing.from_pairs(n, zip(perm[0::2].tolist(), perm[1::2].tolist()))
+        assert np.array_equal(sample_uniform_gluing(n, seed, index).partner, want.partner)
 
 
 def test_sampling_is_uniform_at_n1():

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +41,34 @@ def test_readme_library_map_names_real_attributes():
             if not hasattr(module, name):
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"README library map names missing attributes: {missing}"
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the sampler imports numpy.random on first use; every command that
+    # samples nothing (oracle, bound, words) runs without it
+    code = (
+        "import os, sys, randsurf.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "randsurf.cli.main(['oracle', '--n', '1', '--classes', 'LR', '--out', os.devnull])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    path = [str(SOURCE.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_no_seed_sequence_is_built_in_the_package():
+    # the sampler hashes whole blocks of spawn keys; the per-sample
+    # SeedSequence and default_rng path lives only in the tests
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("SeedSequence", "default_rng")
+    ]
+    assert not calls, f"seed sequences built in the package: {calls}"
