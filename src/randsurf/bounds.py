@@ -157,20 +157,13 @@ def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple[int, int]:
 
 
 def _class_sigmas(classes: Sequence[WordClass], n: int) -> dict[WordClass, SigmaSet]:
+    """Class-level sigma values: sigma1 scales by lam, the rest by lam^2."""
     word = _word_sigmas(classes, n)
     out = {}
     for c in classes:
         w, lam = word[c.word_length], c.lam
         out[c] = SigmaSet(lam * w.s1, lam * lam * w.s2, lam * lam * w.s3, lam * lam * w.s4)
     return out
-
-
-def sigma_bounds(
-    classes: Sequence[WordClass], n: int, mode: str = "exact"
-) -> dict[WordClass, SigmaSet]:
-    """Class-level sigma values: sigma1 scales by lam, the rest by lam^2."""
-    viewer = _viewer(mode)
-    return {c: s.view(viewer) for c, s in _class_sigmas(classes, n).items()}
 
 
 def sigma_word_bounds(

@@ -5,7 +5,7 @@ Subcommands
 words    enumerate word classes by combinatorial length or by trace
 stats    seeded Monte Carlo over gluings with full statistics report
 bound    evaluate the explicit distance bounds for a class set
-oracle   exhaustive exact law over all gluings (small N only)
+oracle   exact law over all gluings (N <= 5)
 
 Every command's output is a pure function of its flags.  Floats are
 serialized as 12-significant-digit decimal strings, with exact
@@ -317,9 +317,7 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
-    system = _or_usage(
-        parser, exact_joint_distribution, classes, args.n, dps=args.dps, allow_heavy=args.allow_n3
-    )
+    system = _or_usage(parser, exact_joint_distribution, classes, args.n, dps=args.dps)
 
     joint_rows = [
         {
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact law over all gluings")
     oracle.add_argument("--n", type=int, required=True, metavar="N")
     oracle.add_argument("--dps", type=int, default=60, help="decimal digits for mTV")
-    oracle.add_argument("--allow-n3", action="store_true")
     _add_selection(oracle, with_length=False)
     _add_output(oracle)
     oracle.set_defaults(func=cmd_oracle, parser=oracle)

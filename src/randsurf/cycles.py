@@ -26,10 +26,10 @@ For a primitive word only d = k is left, so a class costs one
 fixed-point count.  block_counter is the only counter: built once for
 a gluing count N, a block size and a class tuple, it evaluates the
 formula on whole blocks of gluings, with one matrix product of the
-fixed-point counts and the Burnside weights.  The Monte Carlo counts
-its samples in blocks, the exhaustive oracle its 945-gluing blocks,
-and count_vector is the one-row call; count_cycles is one
-count_vector call.
+fixed-point counts and the Burnside weights.  The Monte Carlo and the
+exact oracle count their gluings in blocks of at most SIDE_BUDGET
+partner entries, and count_vector is the one-row call; count_cycles
+is one count_vector call.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
@@ -56,6 +56,7 @@ from randsurf.words import (
 )
 
 MAX_CYCLE_LENGTH = 16
+SIDE_BUDGET = 4096  # partner entries counted in one block: 67 rows at N = 10
 
 
 def _check_max_length(m: int) -> None:

@@ -1,18 +1,30 @@
-"""Ground truth by exhaustion over every gluing of a small surface.
+"""Exact joint count laws over every gluing of a small surface.
 
-For N in {1, 2} the whole sample space (15 and 10395 matchings) can be
-walked, which pins down exact joint count laws, exact means, and the
-exact total variation to the product Poisson reference.  N = 3 has
-34459425 matchings and sits behind an explicit opt-in; on one core of
-a 2-core Xeon it takes about 16 s for the classes (LR, LLR) and 32-38 s
-for the five classes of trace <= 6.
+A uniform gluing of 2N triangles is a uniform labelled cubic ribbon
+graph.  Relabelling the triangles and rotating each one inside itself
+form a group of order (2N)! * 3^(2N) that preserves every count, and a
+connected gluing with a marked root side has no non-trivial symmetry.
+So the law needs only the rooted connected gluings:
 
-The gluings are walked in blocks: the pairs of the smallest labels
-are fixed one at a time until 10 labels are left, and a block of 945
-partner rows fills those from one cached table of matchings.  The
-class counts of a whole block come from cycles.block_counter, built
-once with 945 rows, the counter that count_vector and the Monte Carlo
-use as well.
+- _rooted_connected(m) generates each rooted connected gluing of m
+  triangles once, in canonical labelling: the smallest open side pairs
+  with a larger open side, or with side 1 of a fresh triangle, and a
+  branch that closes with fewer than m triangles open is dropped.  Each
+  one stands for (m - 1)! * 3^(m - 1) labelled connected gluings.
+- Its rows are counted in blocks of at most SIDE_BUDGET partner entries
+  by cycles.block_counter, the counter that count_vector and the Monte
+  Carlo use as well.
+- Counts add over components, so conditioning on the component that
+  holds triangle 1 gives the exponential formula
+  a_m = sum_j C(m - 1, j - 1) * (c_j conv a_(m - j)) for the count
+  vectors a_m of all gluings of m triangles and c_j of the connected
+  ones, where conv adds the vectors of every pair of atoms.
+
+There are 5, 60, 1105, 27120 and 828250 rooted connected gluings of 2,
+4, 6, 8 and 10 triangles.  On one core of a 2-core Xeon, N <= 3 takes
+milliseconds, N = 4 under a second and N = 5 4-7 s, most of it spent
+generating the rooted gluings; N = 6 (30220800 rooted gluings, minutes)
+is out of range.
 """
 
 from __future__ import annotations
@@ -20,21 +32,22 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 import mpmath
 import numpy as np
 
-from randsurf.cycles import block_counter
+from randsurf.cycles import SIDE_BUDGET, block_counter
 from randsurf.dists import FiniteDistribution, product_poisson_on, tv_distance
 from randsurf.gluing import Gluing
 from randsurf.words import WordClass
 
-MAX_EXHAUSTIVE_N = 3
+MAX_EXACT_N = 5
+MAX_ENUMERATED_N = 2  # every gluing one by one: 10395 at N = 2
 MAX_EXACT_WORD_LENGTH = 6
 DEFAULT_DPS = 60
-BLOCK_LABELS = 10  # a block fills the last 10 labels: 945 gluings
 
 
 def matching_count(n: int) -> int:
@@ -45,101 +58,68 @@ def matching_count(n: int) -> int:
     return out
 
 
-def _check_exhaustive_n(n: int, allow_heavy: bool) -> None:
-    if not 1 <= n <= MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive enumeration supports 1 <= N <= {MAX_EXHAUSTIVE_N}")
-    if n == MAX_EXHAUSTIVE_N and not allow_heavy:
-        raise ValueError(
-            "N = 3 walks 34459425 gluings, about 35 s on one core for the"
-            " trace <= 6 classes; pass allow_heavy=True (CLI: --allow-n3) to opt in"
-        )
+def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
+    """Every gluing once, for 1 <= N <= MAX_ENUMERATED_N.
 
-
-@lru_cache(maxsize=None)
-def _matching_table(m: int) -> np.ndarray:
-    """Every perfect matching of the positions 0..m-1, one int8 row each.
-
-    Row r holds the partner position of every position.  Rows come in
-    enumeration order: position 0 pairs with each larger position in
-    increasing order, and the rest is matched recursively.  Cached and
-    shared, hence read-only.
+    The smallest unmatched label pairs with each larger one in
+    increasing order, and the rest is matched recursively.
     """
-    if m == 0:
-        table = np.zeros((1, 0), dtype=np.int8)
-    else:
-        sub = _matching_table(m - 2)
-        parts = []
-        for j in range(1, m):
-            rest = np.array([i for i in range(1, m) if i != j], dtype=np.int8)
-            part = np.empty((len(sub), m), dtype=np.int8)
-            part[:, 0] = j
-            part[:, j] = 0
-            part[:, rest] = rest[sub]
-            parts.append(part)
-        table = np.concatenate(parts)
-    table.setflags(write=False)
-    return table
+    if not 1 <= n <= MAX_ENUMERATED_N:
+        raise ValueError(f"enumeration supports 1 <= N <= {MAX_ENUMERATED_N}")
 
-
-def _gluing_blocks(n: int) -> Iterator[np.ndarray]:
-    """Partner arrays of every gluing, as (B, 6N + 1) int8 blocks.
-
-    The pairs of the smallest free labels are fixed one at a time, in
-    the enumeration order, until BLOCK_LABELS labels are left; a block
-    fills those from the matching table.  Concatenated, the rows list
-    every gluing once in the enumeration order.
-    """
-    size = 6 * n
-    tail = min(size, BLOCK_LABELS)
-    table = _matching_table(tail)
-    head = np.zeros(size + 1, dtype=np.int8)
-
-    def rec(free: tuple[int, ...]) -> Iterator[np.ndarray]:
-        if len(free) == tail:
-            block = np.empty((len(table), size + 1), dtype=np.int8)
-            block[:] = head
-            labels = np.array(free, dtype=np.int8)
-            block[:, labels] = labels[table]
-            yield block
+    def rec(free: tuple[int, ...], partner: np.ndarray) -> Iterator[Gluing]:
+        if not free:
+            yield Gluing._trusted(n, partner.copy())
             return
-        first, rest = free[0], free[1:]
-        for i, other in enumerate(rest):
-            head[first], head[other] = other, first
-            yield from rec(rest[:i] + rest[i + 1 :])
+        first = free[0]
+        for i, other in enumerate(free[1:], start=1):
+            partner[first], partner[other] = other, first
+            yield from rec(free[1:i] + free[i + 1 :], partner)
 
-    yield from rec(tuple(range(1, size + 1)))
+    yield from rec(tuple(range(1, 6 * n + 1)), np.zeros(6 * n + 1, dtype=np.int64))
 
 
-def enumerate_all_gluings(n: int, allow_heavy: bool = False) -> Iterator[Gluing]:
-    """Every gluing once, in a fixed order.
+def _rooted_connected(m: int) -> Iterator[list[int]]:
+    """Partner lists of the rooted connected gluings of m triangles, each once.
 
-    The order pairs the smallest unmatched label with each larger
-    candidate in increasing order and recurses on the remainder.
+    Triangle t opens when the smallest open side is glued to its side
+    3t - 2; the root is side 1.  Each list has the dummy slot 0 and is
+    a fresh copy.
     """
-    _check_exhaustive_n(n, allow_heavy)
-    for block in _gluing_blocks(n):
-        for partner in block.astype(np.int64):
-            yield Gluing._trusted(n, partner)
+    partner = [0] * (3 * m + 1)
+
+    def rec(side: int, opened: int) -> Iterator[list[int]]:
+        last = 3 * opened
+        while side <= last and partner[side]:
+            side += 1
+        if side > last:  # every open side is glued: the component closed
+            if opened == m:
+                yield partner.copy()
+            return
+        for other in range(side + 1, last + 1):
+            if not partner[other]:
+                partner[side], partner[other] = other, side
+                yield from rec(side + 1, opened)
+                partner[other] = 0
+        if opened < m:
+            partner[side], partner[last + 1] = last + 1, side
+            yield from rec(side + 1, opened + 1)
+            partner[last + 1] = 0
+        partner[side] = 0
+
+    yield from rec(1, 1)
 
 
-def _distinct_rows(counts: np.ndarray) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each distinct row of counts with its multiplicity, by first appearance.
-
-    Rows are keyed by a mixed-radix integer over the column ranges; a
-    key that could outgrow int64 is renumbered densely first.
-    """
-    key = np.zeros(len(counts), dtype=np.int64)
-    span = 1
-    for column in counts.T:
-        radix = int(column.max()) + 1
-        if span * radix > 2**62:
-            _, key = np.unique(key, return_inverse=True)
-            span = len(counts)
-        key = key * radix + column
-        span *= radix
-    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return zip(map(tuple, counts[first[order]].tolist()), sizes[order].tolist())
+def _connected_law(m: int, classes: tuple[WordClass, ...]) -> Counter:
+    """Count vectors of the labelled connected gluings of m triangles, with multiplicity."""
+    rows = max(1, SIDE_BUDGET // (3 * m + 1))
+    count = block_counter(m // 2, rows, classes)
+    law: Counter = Counter()
+    gluings = _rooted_connected(m)
+    while block := list(islice(gluings, rows)):
+        law.update(map(tuple, count(np.array(block)).tolist()))
+    labellings = factorial(m - 1) * 3 ** (m - 1)
+    return Counter({vec: cnt * labellings for vec, cnt in law.items()})
 
 
 @dataclass(frozen=True)
@@ -155,12 +135,10 @@ class ExactSystem:
 
 
 def exact_joint_distribution(
-    classes: Sequence[WordClass],
-    n: int,
-    dps: int = DEFAULT_DPS,
-    allow_heavy: bool = False,
+    classes: Sequence[WordClass], n: int, dps: int = DEFAULT_DPS
 ) -> ExactSystem:
-    _check_exhaustive_n(n, allow_heavy)
+    if not 1 <= n <= MAX_EXACT_N:
+        raise ValueError(f"the exact oracle supports 1 <= N <= {MAX_EXACT_N}")
     if not classes:
         raise ValueError("need at least one class")
     if len(set(classes)) != len(classes):  # count vectors are keyed by class
@@ -171,15 +149,22 @@ def exact_joint_distribution(
         raise ValueError("use at least 50 digits for the exact distance")
 
     classes = tuple(classes)
-    count = block_counter(n, len(_matching_table(min(6 * n, BLOCK_LABELS))), classes)
-    law_counts: Counter = Counter()
-    for block in _gluing_blocks(n):
-        # merged in enumeration order, so atoms keep their first appearance
-        for vec, cnt in _distinct_rows(count(block)):
-            law_counts[vec] += cnt
+    # components have an even number of triangles; laws[m // 2] is a_m
+    laws = [Counter({(0,) * len(classes): 1})]
+    connected = []
+    for m in range(2, 2 * n + 1, 2):
+        connected.append(_connected_law(m, classes))
+        law: Counter = Counter()
+        for j, component in zip(range(2, m + 1, 2), connected):
+            ways = comb(m - 1, j - 1)
+            for u, x in component.items():
+                for v, y in laws[(m - j) // 2].items():
+                    law[tuple(map(sum, zip(u, v)))] += ways * x * y
+        laws.append(law)
+    law_counts = laws[n]
     total = sum(law_counts.values())
     if total != matching_count(n):
-        raise RuntimeError(f"walked {total} gluings, expected {matching_count(n)}")
+        raise RuntimeError(f"counted {total} gluings, expected {matching_count(n)}")
 
     joint_law = FiniteDistribution(
         dimension=len(classes),

@@ -108,7 +108,7 @@ class Gluing:
     def _trusted(cls, n: int, partner: np.ndarray) -> "Gluing":
         """A gluing whose partner array is valid by construction.
 
-        For the sampler and the exhaustive enumeration, which build
+        For the sampler and enumerate_all_gluings, which build
         involutions themselves; it skips the checks of __post_init__.
         """
         g = object.__new__(cls)

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import block_counter
+from randsurf.cycles import SIDE_BUDGET, block_counter
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
@@ -44,7 +44,6 @@ from randsurf.gluing import sample_uniform_gluing, topology
 from randsurf.words import WordClass
 
 CHUNK = 256  # fixed work unit, deliberately independent of the worker count
-SIDE_BUDGET = 4096  # partner entries counted in one block: 67 rows at N = 10
 
 
 @dataclass(frozen=True)

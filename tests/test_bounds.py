@@ -7,13 +7,13 @@ import pytest
 
 from randsurf.bounds import (
     SigmaSet,
+    _class_sigmas,
     a_k_n,
     admissible_trace_for_n,
     bound_report,
     main_bound,
     p_k_n,
     refined_mtv_bound,
-    sigma_bounds,
     sigma_word_bounds,
     simplified_sigma_bounds,
     theorem_bound_value,
@@ -85,7 +85,7 @@ def test_sums_per_length_equal_the_term_by_term_reference():
 
 
 @pytest.mark.parametrize(
-    "bound", [sigma_bounds, sigma_word_bounds, main_bound, refined_mtv_bound]
+    "bound", [sigma_word_bounds, main_bound, refined_mtv_bound]
 )
 def test_unknown_mode_raises(bound):
     with pytest.raises(ValueError, match="mode"):
@@ -94,10 +94,8 @@ def test_unknown_mode_raises(bound):
 
 def test_log_mode_is_a_view_of_exact_mode():
     classes = enumerate_classes_by_trace(6).classes
-    exact = sigma_bounds(classes, 100, mode="exact")
-    for c, s in sigma_bounds(classes, 100, mode="log").items():
-        assert s == exact[c].view(LogNumber)
-        assert s.total == LogNumber(exact[c].total)
+    for s in _class_sigmas(classes, 100).values():
+        assert s.view(LogNumber).total == LogNumber(s.total)
     assert refined_mtv_bound(classes, 100, mode="log") == LogNumber(
         refined_mtv_bound(classes, 100)
     )
@@ -158,14 +156,14 @@ def test_sigma1_single_length_two_class():
     lr = canonicalize("LR")
     word_level = sigma_word_bounds((lr,), 10, mode="exact")[lr]
     assert word_level.s1 == a_k_n(2, 10) * p_k_n(2, 10) ** 2
-    class_level = sigma_bounds((lr,), 10, mode="exact")[lr]
+    class_level = _class_sigmas((lr,), 10)[lr]
     assert class_level.s1 == lr.lam * word_level.s1
     assert class_level.s2 == lr.lam**2 * word_level.s2
 
 
 def test_sigma_values_positive_and_total():
     classes = enumerate_classes_by_trace(4).classes
-    sig = sigma_bounds(classes, 25, mode="exact")
+    sig = _class_sigmas(classes, 25)
     for s in sig.values():
         assert s.s1 > 0 and s.s2 > 0 and s.s3 > 0 and s.s4 > 0
         assert s.total == s.s1 + s.s2 + s.s3 + s.s4
@@ -203,7 +201,7 @@ def test_refined_scales_like_one_over_n():
 def test_hypothesis_guard():
     classes = enumerate_classes_by_trace(4).classes  # m_W = 3
     with pytest.raises(ValueError):
-        sigma_bounds(classes, 2)
+        _class_sigmas(classes, 2)
     with pytest.raises(ValueError):
         main_bound(classes, 2)
     with pytest.raises(ValueError):
@@ -213,7 +211,7 @@ def test_hypothesis_guard():
 def test_duplicate_classes_rejected():
     lr = canonicalize("LR")
     with pytest.raises(ValueError):
-        sigma_bounds((lr, lr), 10)
+        _class_sigmas((lr, lr), 10)
 
 
 def test_admissible_trace_examples():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from randsurf.bounds import refined_mtv_bound, sigma_bounds, theorem_bound_value
+from randsurf.bounds import _class_sigmas, refined_mtv_bound, theorem_bound_value
 from randsurf.cli import main
 from randsurf.words import enumerate_classes_by_trace
 
@@ -192,7 +192,7 @@ def test_bound_strings_are_correctly_rounded(tmp_path, n, trace):
         "main": theorem_bound_value(len(classes), m_w, n),
     }
     views = {"refined": payload["refined"], "main": payload["main"]}
-    for c, s in sigma_bounds(classes, n).items():
+    for c, s in _class_sigmas(classes, n).items():
         record = payload["per_class_sigma"][c.canonical]
         values = {"sigma1": s.s1, "sigma2": s.s2, "sigma3": s.s3, "sigma4": s.s4}
         for key, value in [*values.items(), ("total", s.total)]:
@@ -228,13 +228,16 @@ def test_oracle_n1_golden(tmp_path):
     assert payload["mtv_vs_product_poisson"].startswith("0.380833284")
 
 
-def test_oracle_gates():
+def test_oracle_gates(capsys):
+    for n in ("0", "6"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", n, "--classes", "LR"])
+        assert exc.value.code == 2
+        assert "1 <= N <= 5" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--n", "3", "--classes", "LR"])
+        main(["oracle", "--n", "3", "--classes", "LR", "--allow-n3"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--n", "4", "--classes", "LR", "--allow-n3"])
-    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-n3" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--n", "1", "--classes", "LR", "--dps", "10"])
     assert exc.value.code == 2

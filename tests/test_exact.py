@@ -10,13 +10,12 @@ import pytest
 from randsurf.bounds import a_k_n, p_k_n
 from randsurf.cycles import block_counter, brute_force_counts, count_vector
 from randsurf.exact import (
-    _distinct_rows,
-    _gluing_blocks,
+    _rooted_connected,
     enumerate_all_gluings,
     exact_joint_distribution,
     matching_count,
 )
-from randsurf.gluing import Gluing, next_side, triangle_of
+from randsurf.gluing import Gluing, next_side, topology, triangle_of
 from randsurf.words import canonicalize, enumerate_classes_by_length
 
 # every class of length <= 6, proper powers (LL, LRLR, LLLL, LRLRLR, ...) included
@@ -48,17 +47,16 @@ def _reference_order(n):
     return list(rec(tuple(range(1, 6 * n + 1)), []))
 
 
-@pytest.mark.parametrize("n, blocks", [(1, 1), (2, 11)])
-def test_blocks_list_every_gluing_in_the_enumeration_order(n, blocks):
-    listed = list(_gluing_blocks(n))
-    assert len(listed) == blocks
-    rows = np.concatenate(listed)
-    assert rows.dtype == np.int8
+@pytest.mark.parametrize("n", [1, 2])
+def test_enumeration_follows_the_reference_order(n):
     # from_pairs validates the reference, so every row is a valid gluing
-    assert rows.tolist() == [p.tolist() for p in _reference_order(n)]
     gluings = list(enumerate_all_gluings(n))
-    assert [g.partner.tolist() for g in gluings] == rows.tolist()
+    assert [g.partner.tolist() for g in gluings] == [p.tolist() for p in _reference_order(n)]
     assert all(g.partner.dtype == np.int64 for g in gluings)
+
+
+def _stacked(n):
+    return np.stack([g.partner for g in enumerate_all_gluings(n)])
 
 
 def _brute_force_row(g, classes):
@@ -67,88 +65,92 @@ def _brute_force_row(g, classes):
 
 
 def test_block_counts_equal_brute_force_on_every_n1_gluing():
-    (block,) = _gluing_blocks(1)
+    block = _stacked(1)
     got = block_counter(1, len(block), ALL_TO_SIX)(block)
     want = [_brute_force_row(g, ALL_TO_SIX) for g in enumerate_all_gluings(1)]
     assert got.tolist() == want
 
 
 def test_block_counts_equal_brute_force_on_sampled_n2_gluings():
-    blocks = list(_gluing_blocks(2))
+    rows = _stacked(2)
+    blocks = [rows[i : i + 945] for i in range(0, len(rows), 945)]
     count = block_counter(2, 945, ALL_TO_SIX)
     rng = random.Random(11)
     for index in (0, 5, len(blocks) - 1):
         block = blocks[index]
         got = count(block)
         for row in {0, 944, *rng.sample(range(1, 944), 6)}:
-            g = Gluing(2, block[row].astype(np.int64))
+            g = Gluing(2, block[row])
             assert got[row].tolist() == _brute_force_row(g, ALL_TO_SIX), (index, row)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_block_counts_equal_count_vector_on_every_small_gluing(n):
     # whole blocks against one-row calls of the same counter: rows never mix
-    blocks = list(_gluing_blocks(n))
-    count = block_counter(n, len(blocks[0]), ALL_TO_SIX)
-    got = np.concatenate([count(block) for block in blocks])
+    rows = _stacked(n)
+    count = block_counter(n, 945, ALL_TO_SIX)
+    got = np.concatenate([count(rows[i : i + 945]) for i in range(0, len(rows), 945)])
     want = [list(count_vector(g, ALL_TO_SIX).values()) for g in enumerate_all_gluings(n)]
     assert got.tolist() == want
 
 
 def test_block_counts_equal_count_vector_on_sampled_n3_blocks():
-    blocks = 17 * 15 * 13 * 11
-    picked = {0, blocks - 1, *random.Random(3).sample(range(1, blocks - 1), 4)}
-    count = block_counter(3, 945, ALL_TO_SIX)
-    seen = 0
-    for index, block in enumerate(_gluing_blocks(3)):
-        seen += 1
-        if index not in picked:
-            continue
-        assert block.shape == (945, 19)
-        want = [list(count_vector(Gluing(3, p.astype(np.int64)), ALL_TO_SIX).values())
-                for p in block]
-        assert count(block).tolist() == want, index
-    assert seen == blocks
+    # every rooted connected gluing of 6 triangles, an N = 3 gluing each
+    block = np.array(list(_rooted_connected(6)))
+    assert block.shape == (1105, 19)
+    got = block_counter(3, len(block), ALL_TO_SIX)(block)
+    want = [list(count_vector(Gluing(3, p), ALL_TO_SIX).values()) for p in block]
+    assert got.tolist() == want
 
 
 def test_short_blocks_count_only_their_own_rows():
-    blocks = list(_gluing_blocks(2))
+    rows = _stacked(2)
     count = block_counter(2, 945, ALL_TO_SIX)
-    full = count(blocks[3])
-    count(blocks[4])  # leaves other rows behind in the counter's arrays
-    assert count(blocks[3][:17]).tolist() == full[:17].tolist()
-    assert count(blocks[3][-1:]).tolist() == full[-1:].tolist()
+    full = count(rows[3 * 945 : 4 * 945])
+    count(rows[4 * 945 : 5 * 945])  # leaves other rows behind in the counter's arrays
+    assert count(rows[3 * 945 : 3 * 945 + 17]).tolist() == full[:17].tolist()
+    assert count(rows[4 * 945 - 1 : 4 * 945]).tolist() == full[-1:].tolist()
 
 
 def test_indivisible_block_sum_raises(lr):
     # a class whose size does not match its word: at N = 1 the Burnside
     # sum of [LR] is 0 or 6 fixed points, and 6 is not divisible by 4
     wrong = replace(lr, class_size=1)
-    (block,) = _gluing_blocks(1)
+    block = _stacked(1)
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
         block_counter(1, len(block), [wrong])(block)
     with pytest.raises(ArithmeticError):
         exact_joint_distribution([wrong], 1)
 
 
-def test_distinct_rows_keep_first_appearance_and_multiplicity():
-    rows = np.array([[2, 0], [1, 5], [2, 0], [0, 0], [1, 5], [2, 0]])
-    assert list(_distinct_rows(rows)) == [((2, 0), 3), ((1, 5), 2), ((0, 0), 1)]
-    # columns whose ranges multiply past int64 take the renumbering path
-    rng = np.random.default_rng(0)
-    wide = rng.integers(0, 2, size=(500, 90)) * rng.integers(1, 10**6, size=90)
-    wide[250:] = wide[:250]
-    assert list(_distinct_rows(wide)) == list(Counter(map(tuple, wide.tolist())).items())
+def test_rooted_connected_gluings_add_up_to_every_gluing(lr):
+    rooted = {m: list(_rooted_connected(m)) for m in (2, 4, 6, 8)}
+    assert {m: len(rows) for m, rows in rooted.items()} == {2: 5, 4: 60, 6: 1105, 8: 27120}
+    for m, rows in rooted.items():
+        assert len(set(map(tuple, rows))) == len(rows)
+        for p in rows[:: max(1, len(rows) // 50)]:
+            g = Gluing(m // 2, np.array(p))  # validates the involution
+            assert topology(g).connected
+    # the exponential formula rebuilds (6N - 1)!! gluings from them
+    for n in range(1, 5):
+        assert exact_joint_distribution([lr], n).gluing_count == matching_count(n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_joint_law_equals_the_law_of_every_gluing(n):
+    system = exact_joint_distribution(ALL_TO_SIX, n)
+    law = Counter(tuple(count_vector(g, ALL_TO_SIX).values()) for g in enumerate_all_gluings(n))
+    total = matching_count(n)
+    assert system.gluing_count == total
+    assert system.joint_law.atoms == {vec: Fraction(cnt, total) for vec, cnt in law.items()}
 
 
 def test_heavy_enumeration_is_gated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 <= N <= 2"):
         next(enumerate_all_gluings(3))
-    with pytest.raises(ValueError):
-        exact_joint_distribution([canonicalize("LR")], 3)
-    with pytest.raises(ValueError):
-        exact_joint_distribution([canonicalize("LR")], 4, allow_heavy=True)
-    with pytest.raises(ValueError, match="1 <= N <= 3"):
+    with pytest.raises(ValueError, match="1 <= N <= 5"):
+        exact_joint_distribution([canonicalize("LR")], 6)
+    with pytest.raises(ValueError, match="1 <= N <= 5"):
         exact_joint_distribution([canonicalize("LR")], 0)
 
 
@@ -259,9 +261,8 @@ def test_representation_gap_for_proper_powers():
     assert containment_mean("LRLR", 1)[0] == Fraction(3, 10)
 
 
-@pytest.mark.slow
 def test_n3_law_of_lr_and_llr(lr, llr):
-    systems = {n: exact_joint_distribution([lr, llr], n, allow_heavy=True) for n in (1, 2, 3)}
+    systems = {n: exact_joint_distribution([lr, llr], n) for n in (1, 2, 3)}
     n3 = systems[3]
     assert n3.gluing_count == 34_459_425
     # the containment sum over all 18^k side sequences is an independent
@@ -273,3 +274,12 @@ def test_n3_law_of_lr_and_llr(lr, llr):
     mtv = [float(systems[n].exact_mtv) for n in (1, 2, 3)]
     assert mtv == pytest.approx([0.7722212948484779, 0.34347912544031367, 0.20282895139576498])
     assert mtv[0] > mtv[1] > mtv[2]
+
+
+def test_n4_and_n5_laws_of_lr_and_llr(lr, llr):
+    n4, n5 = (exact_joint_distribution([lr, llr], n) for n in (4, 5))
+    assert n5.gluing_count == matching_count(5)
+    assert n4.exact_means == {lr: Fraction(12, 23), llr: Fraction(432, 437)}
+    assert n5.exact_means == {lr: Fraction(15, 29), llr: Fraction(144, 145)}
+    assert float(n4.exact_mtv) == pytest.approx(0.0899333934968, abs=1e-12)
+    assert float(n5.exact_mtv) == pytest.approx(0.0591077663316, abs=1e-12)
