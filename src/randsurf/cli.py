@@ -387,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exact law over all gluings")
     oracle.add_argument("--n", type=int, required=True, metavar="N")
-    oracle.add_argument("--dps", type=int, default=60, help="decimal digits for mTV")
+    oracle.add_argument(
+        "--dps", type=int, default=60, help="significant digits of the exact distance"
+    )
     _add_selection(oracle, with_length=False)
     _add_output(oracle)
     oracle.set_defaults(func=cmd_oracle, parser=oracle)

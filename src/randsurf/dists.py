@@ -2,8 +2,9 @@
 
 Probabilities are plain numbers of whatever arithmetic the caller
 wants: floats for Monte Carlo work, Fractions for exact laws coming
-out of exhaustive enumeration, mpmath floats when extra digits are
-needed.  Mixing is allowed wherever Python arithmetic allows it.
+out of exhaustive enumeration, Decimals when extra digits are needed.
+Mixing is allowed wherever Python arithmetic allows it, and tv_distance
+also compares a Fraction law with a Decimal one.
 
 Product-Poisson references are evaluated on a prescribed support,
 usually that of the law they are compared with; the reference mass
@@ -13,14 +14,12 @@ to a law living on the support is the exact total variation.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import mpmath
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,9 @@ def poisson_pmf(lam, k: int) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
-def _poisson_pmf_mp(lam, k: int):
-    lam = mpmath.mpf(lam.numerator) / lam.denominator if isinstance(lam, Fraction) else mpmath.mpf(lam)
-    return mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+def _decimal(x: Fraction) -> Decimal:
+    """x rounded in the current decimal context."""
+    return Decimal(x.numerator) / x.denominator
 
 
 def product_poisson_on(
@@ -98,29 +97,39 @@ def product_poisson_on(
     lives entirely on the support, tv_distance then gives the exact
     total variation rather than an upper estimate, whatever the
     dimension.
+
+    With precision=None the atoms are floats.  Otherwise they are
+    Decimals with that many significant digits: each atom is the one
+    exponential exp(-sum of rates) times its exact rational weight
+    prod lam**k / k!.
     """
     d = len(lambdas)
     if d < 1:
         raise ValueError("need at least one rate")
+    vectors = [tuple(vec) for vec in support]
+    for vec in vectors:
+        if len(vec) != d:
+            raise ValueError(f"support vector {vec} has wrong dimension")
 
     if precision is None:
-        pmf, one, fsum, context = poisson_pmf, 1.0, math.fsum, contextlib.nullcontext()
+        atoms = {vec: math.prod(map(poisson_pmf, lambdas, vec)) for vec in vectors}
+        tail = 1.0 - math.fsum(atoms.values())
     else:
-        pmf, one, fsum = _poisson_pmf_mp, mpmath.mpf(1), mpmath.fsum
-        context = mpmath.workdps(precision)
-    with context:
-        atoms: dict[tuple[int, ...], object] = {}
-        for vec in support:
-            vec = tuple(vec)
-            if len(vec) != d:
-                raise ValueError(f"support vector {vec} has wrong dimension")
-            prob = one
-            for lam, k in zip(lambdas, vec):
-                prob = prob * pmf(lam, k)
-            atoms[vec] = prob
-        tail = one - fsum(atoms.values())
+        rates = [Fraction(lam) for lam in lambdas]
+        if min(rates) <= 0:
+            raise ValueError("rate must be positive")
+        with localcontext(Context(prec=precision)):
+            scale = _decimal(-sum(rates)).exp()
+            atoms = {}
+            for vec in vectors:
+                num = den = 1
+                for lam, k in zip(rates, vec):
+                    num *= lam.numerator**k
+                    den *= lam.denominator**k * math.factorial(k)
+                atoms[vec] = scale * num / den
+            tail = Decimal(1) - sum(atoms.values())
     if tail < 0:
-        tail = 0 * one  # roundoff guard
+        tail = type(tail)(0)  # roundoff guard
     return FiniteDistribution(dimension=d, atoms=atoms, tail_mass=tail)
 
 
@@ -143,15 +152,12 @@ def empirical_distribution(
 
 
 def _gap(a, b):
-    # Fractions and mpmath floats do not subtract directly
-    try:
-        return abs(a - b)
-    except TypeError:
-        if isinstance(a, Fraction):
-            a = mpmath.mpf(a.numerator) / a.denominator
-        if isinstance(b, Fraction):
-            b = mpmath.mpf(b.numerator) / b.denominator
-        return abs(a - b)
+    # Fractions and Decimals do not subtract directly
+    if isinstance(a, Fraction) and isinstance(b, Decimal):
+        a = _decimal(a)
+    elif isinstance(b, Fraction) and isinstance(a, Decimal):
+        b = _decimal(b)
+    return abs(a - b)
 
 
 def tv_distance(p: FiniteDistribution, q: FiniteDistribution):

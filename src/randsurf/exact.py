@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-import mpmath
 import numpy as np
 
 from randsurf.cycles import SIDE_BUDGET, block_counter
@@ -131,7 +131,7 @@ class ExactSystem:
     classes: tuple[WordClass, ...]
     joint_law: FiniteDistribution
     exact_means: dict[WordClass, Fraction]
-    exact_mtv: object  # mpmath float at the requested precision
+    exact_mtv: Decimal  # to the requested number of significant digits
 
 
 def exact_joint_distribution(
@@ -173,7 +173,7 @@ def exact_joint_distribution(
     reference = product_poisson_on(
         [c.lam for c in classes], joint_law.support(), precision=dps
     )
-    with mpmath.workdps(dps):
+    with localcontext(Context(prec=dps)):
         mtv = tv_distance(joint_law, reference)
     return ExactSystem(
         half_count=n,

@@ -1,6 +1,9 @@
+import itertools
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from randsurf.dists import (
     tv_distance,
     tv_standard_error,
 )
+from randsurf.exact import exact_joint_distribution
 
 
 def test_poisson_pmf_values():
@@ -132,3 +136,87 @@ def test_empirical_law_approaches_exact_law(mc_n1):
     )
     assert set(emp.atoms) == set(exact.atoms)
     assert float(tv_distance(emp, exact)) < 0.01
+
+
+# the Decimal path against mpmath's log-space pmf, 20 guard digits up
+RATE_SETS = [
+    (Fraction(1, 2), Fraction(1)),
+    (Fraction(1, 6), Fraction(1, 2), Fraction(3, 2)),
+    (Fraction(7, 3),),
+]
+
+
+def _mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _mp_product_poisson(rates, support, digits):
+    with mpmath.workdps(digits + 20):
+        atoms = {
+            vec: mpmath.fprod(
+                mpmath.exp(k * mpmath.log(_mp(lam)) - _mp(lam) - mpmath.loggamma(k + 1))
+                for lam, k in zip(rates, vec)
+            )
+            for vec in support
+        }
+        return atoms, 1 - mpmath.fsum(atoms.values())
+
+
+def _mp_tv(law, rates, digits):
+    atoms, tail = _mp_product_poisson(rates, law.support(), digits)
+    with mpmath.workdps(digits + 20):
+        gaps = [abs(_mp(p) - atoms[vec]) for vec, p in law.atoms.items()]
+        return (mpmath.fsum(gaps) + tail) / 2
+
+
+def _agrees(value, reference, digits):
+    assert isinstance(value, Decimal)
+    with mpmath.workdps(digits + 20):
+        gap = abs(mpmath.mpf(str(value)) - reference)
+        assert gap <= abs(reference) * mpmath.mpf(10) ** (5 - digits)
+
+
+def _grid_law(rates):
+    # an exact law on a grid around the rates, off the product Poisson law
+    support = list(itertools.product(range(5 if len(rates) < 3 else 4), repeat=len(rates)))
+    total = sum(1 + sum(vec) for vec in support)
+    atoms = {vec: Fraction(1 + sum(vec), total) for vec in support}
+    return FiniteDistribution(dimension=len(rates), atoms=atoms)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("rates", RATE_SETS, ids=lambda r: ",".join(map(str, r)))
+def test_decimal_product_poisson_matches_mpmath(rates, digits):
+    support = _grid_law(rates).support()
+    dist = product_poisson_on(rates, support, precision=digits)
+    atoms, tail = _mp_product_poisson(rates, support, digits)
+    assert set(dist.atoms) == set(atoms)
+    for vec, prob in dist.atoms.items():
+        _agrees(prob, atoms[vec], digits)
+    _agrees(dist.tail_mass, tail, digits)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("rates", RATE_SETS, ids=lambda r: ",".join(map(str, r)))
+def test_decimal_tv_against_an_exact_law_matches_mpmath(rates, digits):
+    law = _grid_law(rates)
+    reference = product_poisson_on(rates, law.support(), precision=digits)
+    with localcontext(Context(prec=digits)):
+        tv = tv_distance(law, reference)
+        assert tv_distance(reference, law) == tv
+    _agrees(tv, _mp_tv(law, rates, digits), digits)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_exact_mtv_is_a_decimal_at_the_requested_digits(lr, llr, digits):
+    system = exact_joint_distribution([lr, llr], 2, dps=digits)
+    rates = [c.lam for c in system.classes]
+    _agrees(system.exact_mtv, _mp_tv(system.joint_law, rates, digits), digits)
+
+
+@pytest.mark.parametrize("precision", [None, 60])
+@pytest.mark.parametrize("rates", [[Fraction(0)], [Fraction(1), Fraction(-1, 2)]])
+def test_non_positive_rates_raise_on_both_paths(rates, precision):
+    support = [(0,) * len(rates), (1,) * len(rates)]
+    with pytest.raises(ValueError, match="rate must be positive"):
+        product_poisson_on(rates, support, precision=precision)

@@ -43,6 +43,15 @@ def test_readme_library_map_names_real_attributes():
     assert not missing, f"README library map names missing attributes: {missing}"
 
 
+def _fresh_run(code: str) -> str:
+    path = [str(SOURCE.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # the sampler imports numpy.random on first use; every command that
     # samples nothing (oracle, bound, words) runs without it
@@ -52,12 +61,42 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
         "randsurf.cli.main(['oracle', '--n', '1', '--classes', 'LR', '--out', os.devnull])\n"
         "print('numpy.random' in sys.modules)\n"
     )
-    path = [str(SOURCE.parent), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh_run(code).split() == ["False", "False"]
+
+
+def test_commands_run_without_mpmath():
+    # the exact distance is computed with the decimal module; mpmath is a
+    # test-only reference
+    code = (
+        "import os, sys, randsurf.cli\n"
+        "print('mpmath' in sys.modules)\n"
+        "randsurf.cli.main(['oracle', '--n', '1', '--classes', 'LR', '--out', os.devnull])\n"
+        "print('mpmath' in sys.modules)\n"
+        "randsurf.cli.main(\n"
+        "    ['stats', '--n', '2', '--samples', '3', '--classes', 'LR', '--out', os.devnull]\n"
+        ")\n"
+        "print('mpmath' in sys.modules)\n"
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert _fresh_run(code).split() == ["False", "False", "False"]
+
+
+def test_numpy_is_the_only_third_party_import_and_dependency():
+    imported = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"randsurf"}
+    assert third_party == {"numpy"}
+    # no tomllib before Python 3.11: read the [project] dependencies list by hand
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.MULTILINE | re.DOTALL)
+    requirements = re.findall(r'"([^"]+)"', listed[1])
+    names = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+    assert names == third_party
 
 
 def test_no_seed_sequence_is_built_in_the_package():
