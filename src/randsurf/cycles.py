@@ -47,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from randsurf.gluing import Gluing, _next_arrays
+from randsurf.gluing import SIDE_BUDGET, Gluing, _next_arrays
 from randsurf.words import (
     WordClass,
     canonicalize,
@@ -56,7 +56,6 @@ from randsurf.words import (
 )
 
 MAX_CYCLE_LENGTH = 16
-SIDE_BUDGET = 4096  # partner entries counted in one block: 67 rows at N = 10
 
 
 def _check_max_length(m: int) -> None:

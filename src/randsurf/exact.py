@@ -39,9 +39,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from randsurf.cycles import SIDE_BUDGET, block_counter
+from randsurf.cycles import block_counter
 from randsurf.dists import FiniteDistribution, product_poisson_on, tv_distance
-from randsurf.gluing import Gluing
+from randsurf.gluing import SIDE_BUDGET, Gluing
 from randsurf.words import WordClass
 
 MAX_EXACT_N = 5

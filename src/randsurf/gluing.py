@@ -14,14 +14,19 @@ a dummy slot 0 mapped to itself.
 
 Sample i of a seed pairs off consecutive entries of permutation(6N)
 drawn from PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(i,)).
-No SeedSequence is built: the sampler runs numpy's SeedSequence hash
-on whole blocks of 256 spawn keys and hands each sample its row of
-state words, which yields the same streams bit for bit.
+No SeedSequence is built, and the streams are the same bit for bit:
+the sampler runs numpy's SeedSequence hash on whole blocks of
+SEED_BLOCK = 256 spawn keys, and builds the partner arrays of up to 256
+consecutive samples at once, with one Generator.shuffle per sample and
+two scatters per block.  SIDE_BUDGET bounds the partner entries in such
+a block, and in the blocks that the Monte Carlo and the exact oracle
+feed to the class counter.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -125,6 +130,7 @@ class Gluing:
         return tuple(out)
 
 
+SIDE_BUDGET = 4096  # partner entries in one block: 64 sampled and 67 counted rows at N = 10
 SEED_BLOCK = 256  # spawn keys seeded in one pass; a power of two <= 2^32
 
 # numpy's SeedSequence: a pool of 4 uint32 words and its hash constants
@@ -149,22 +155,17 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-@lru_cache(maxsize=4)
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    """PCG64 state words of the spawn keys of one block, as (SEED_BLOCK, 4) uint64.
+def _hashed_state(seed: int, spawn: list) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(4, np.uint64).
 
-    Row r equals SeedSequence(entropy=seed, spawn_key=(i,))
-    .generate_state(4, np.uint64) for i = block * SEED_BLOCK + r: the
-    same hash, run once for the whole block.  Each hashed word is a
-    Python int or a uint32 array with a value per row, and every
+    spawn holds the 32-bit words of the key.  Each hashed word is a
+    Python int or a uint32 array with a value per key, and every
     product is masked to 32 bits, so ints and arrays wrap alike and no
     numpy scalar ever overflows.  The run entropy is padded with zeros
     to the pool size, as it is whenever a spawn key is given, so it
-    fills the pool alone and mixes as ints; the varying low word of
-    the spawn key makes the pool an array.  A block never straddles a
-    multiple of 2^32, so its keys share a word count.
-
-    Cached and shared, hence read-only.
+    fills the pool alone and mixes as ints; a varying low word of the
+    key makes the pool an array, and the result then has one row per
+    key.
     """
     const = _INIT_A
 
@@ -177,9 +178,6 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
 
     run = _uint32_words(seed)
     run += [0] * (_POOL - len(run))
-    low, *high = _uint32_words(block * SEED_BLOCK)
-    spawn = [np.arange(low, low + SEED_BLOCK, dtype=np.uint32), *high]
-
     pool = [hashmix(word) for word in run[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
@@ -190,14 +188,27 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], hashmix(word))
 
     const = _INIT_B
-    state = np.empty((SEED_BLOCK, 2 * _POOL), dtype="<u4")
+    state = []
     for i in range(2 * _POOL):
         value = pool[i % _POOL] ^ const
         const = const * _MULT_B & _MASK32
         value = value * const & _MASK32
-        state[:, i] = value ^ value >> 16
+        state.append(value ^ value >> 16)
     # word pairs read as little-endian uint64, as generate_state does
-    words = state.view("<u8").astype(np.uint64)
+    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=4)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """PCG64 state words of the spawn keys of one block, as (SEED_BLOCK, 4) uint64.
+
+    Row r is the state of index block * SEED_BLOCK + r: the hash run
+    once for the whole block.  A block never straddles a multiple of
+    2^32, so its keys share a word count.  Cached and shared, hence
+    read-only.
+    """
+    low, *high = _uint32_words(block * SEED_BLOCK)
+    words = _hashed_state(seed, [np.arange(low, low + SEED_BLOCK, dtype=np.uint32), *high])
     words.setflags(write=False)
     return words
 
@@ -229,32 +240,131 @@ def _generator_from_state():
     return lambda words: Generator(PCG64(StateWords(words)))
 
 
+@lru_cache(maxsize=64)
+def _block_rows(n: int) -> int:
+    """Samples R in a partner block at N; 1 means that no block is built.
+
+    R is the largest power of two <= SEED_BLOCK with R * (6N + 1) <=
+    SIDE_BUDGET: 256 at N <= 2, 64 at N = 10, 4 at N = 100.  It divides
+    SEED_BLOCK, so a partner block never straddles a seed block or a
+    Monte Carlo chunk.  Below 4 rows (N > 170) R is 1: a block's dozen
+    fixed numpy calls then cost more than the per-row calls it saves
+    (shared 2-core Xeon: at N = 250, 48.6 us per sample in blocks of 2
+    against 45.7 us one row at a time; at N = 100, 27.3 us in blocks of
+    4 against 28.6 us).
+    """
+    fit = min(SEED_BLOCK, SIDE_BUDGET // (6 * n + 1))
+    return 1 << fit.bit_length() - 1 if fit >= 4 else 1
+
+
+@lru_cache(maxsize=8)
+def _pairing_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The labels 1..6N tiled R times, and the flat offset of each row.
+
+    Cached per N and shared by every partner block, hence read-only.
+    """
+    rows, width = _block_rows(n), 6 * n + 1
+    labels = np.tile(np.arange(1, width, dtype=np.int64), (rows, 1))
+    offsets = np.arange(0, rows * width, width, dtype=np.int64)[:, None]
+    labels.setflags(write=False)
+    offsets.setflags(write=False)
+    return labels, offsets
+
+
+def _paired_row(n: int, state: np.ndarray) -> np.ndarray:
+    """Read-only partner array of the sample whose PCG64 state words are given.
+
+    A shuffle picks positions without looking at values, so shuffling
+    the labels 1..6N gives permutation(6N) + 1 of the same generator.
+    The pairs scatter from contiguous copies of the even and odd
+    positions, which numpy indexes faster than strided views.
+    """
+    perm = np.arange(1, 6 * n + 1, dtype=np.int64)
+    _generator_from_state()(state).shuffle(perm)
+    partner = np.zeros(6 * n + 1, dtype=np.int64)
+    even, odd = perm[0::2].copy(), perm[1::2].copy()
+    partner[even] = odd
+    partner[odd] = even
+    partner.setflags(write=False)
+    return partner
+
+
+@lru_cache(maxsize=4)
+def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
+    """Partner arrays of samples block * R .. block * R + R - 1, as (R, 6N + 1) int64.
+
+    One copy of the tiled labels, one shuffle per row with the row's
+    own generator (as in _paired_row), and two flat scatters that pair
+    positions 2j and 2j + 1 of every row.  Cached and shared, hence
+    read-only.
+    """
+    labels, offsets = _pairing_arrays(n)
+    rows = len(labels)
+    first, start = divmod(block * rows, SEED_BLOCK)
+    perm = labels.copy()
+    generator = _generator_from_state()
+    for row, state in zip(perm, _seed_block(seed, first)[start : start + rows]):
+        generator(state).shuffle(row)
+    partner = np.zeros((rows, 6 * n + 1), dtype=np.int64)
+    flat = partner.ravel()
+    even, odd = perm[:, 0::2].copy(), perm[:, 1::2].copy()
+    flat[even + offsets] = odd
+    flat[odd + offsets] = even
+    partner.setflags(write=False)
+    return partner
+
+
+_DRAWN: OrderedDict = OrderedDict()  # (N, seed, seed block) drawn from, oldest first
+_DRAWN_MEMORY = 64
+
+
+def _drawn_before(key: tuple) -> bool:
+    """Whether a sample was drawn from this seed block before; remembers it.
+
+    It picks how a sample is computed, never what it is.
+    """
+    if key in _DRAWN:
+        return True
+    _DRAWN[key] = None
+    if len(_DRAWN) > _DRAWN_MEMORY:
+        _DRAWN.popitem(last=False)
+    return False
+
+
 def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     """Uniform gluing from the stream determined by (seed, index).
 
     The sample is the permutation(6N) of Generator(PCG64(s)) with
     s = SeedSequence(entropy=seed, spawn_key=(index,)), paired off in
-    consecutive sides.  The state words of s come from _seed_block,
-    computed for SEED_BLOCK consecutive indices at once; the stream is
-    the same bit for bit.  The sample depends only on the pair (seed,
+    consecutive sides.  The sample depends only on the pair (seed,
     index): drawing sample index i is identical whether it happens in a
     serial loop or inside a worker, which is what makes parallel runs
     reproducible.
+
+    No SeedSequence is built, and the stream is the same bit for bit.
+    The first draw from a block of SEED_BLOCK indices hashes its own
+    spawn key and shuffles its own row, so a caller that draws one
+    index per seed pays for one sample.  Later draws from the block
+    read its state words from _seed_block, hashed for the whole block
+    at once.  Where R > 1 (see _block_rows), their partner array is row
+    index mod R of a cached (R, 6N + 1) block from _partner_block.
+    Every row still costs one Generator.shuffle.  The partner array is
+    int64 and read-only.
     """
     _check_half_count(n)
     # Python ints, so that the hash's products never meet a numpy scalar
     seed, index = operator.index(seed), operator.index(index)
     if seed < 0 or index < 0:
         raise ValueError("seed and index must be nonnegative integers")
+    rows = _block_rows(n)
     block, row = divmod(index, SEED_BLOCK)
-    rng = _generator_from_state()(_seed_block(seed, block)[row])
-    perm = rng.permutation(6 * n)
-    partner = np.zeros(6 * n + 1, dtype=np.int64)
-    left = perm[0::2] + 1
-    right = perm[1::2] + 1
-    partner[left] = right
-    partner[right] = left
-    return Gluing._trusted(n, partner)
+    if not _drawn_before((n, seed, block)):
+        state = _hashed_state(seed, _uint32_words(index))
+    elif rows == 1:
+        state = _seed_block(seed, block)[row]
+    else:
+        return Gluing._trusted(n, _partner_block(n, seed, index // rows)[index % rows])
+    return Gluing._trusted(n, _paired_row(n, state))
 
 
 def step(g: Gluing, side: int, turn: str) -> int:

@@ -3,8 +3,12 @@
 Sample i is always drawn from the stream keyed by (seed, i): PCG64
 seeded by SeedSequence(entropy=seed, spawn_key=(i,)), one
 sample_uniform_gluing call per sample.  The sampler hashes the seeds of
-SEED_BLOCK = 256 consecutive indices at once, and a chunk is the same
-256 indices, so each chunk pays for one hash pass.  The only
+SEED_BLOCK = 256 consecutive indices at once and builds their partner
+arrays in blocks of at most SIDE_BUDGET entries (one at a time above
+N = 170), and a chunk is the same 256 indices.  So a chunk pays for one
+hash pass and two scatters per partner block, besides one shuffle per
+sample.  Its first sample is drawn alone, at the cost of one more
+single-key hash and, where blocks are built, one more shuffle.  The only
 accumulators are histograms of integer outcomes, merged in fixed chunk
 order, and ``summarize`` derives every reported sum from them, so
 results do not depend on chunk scheduling.  Workers therefore change
@@ -33,14 +37,14 @@ from typing import Sequence
 import numpy as np
 
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import SIDE_BUDGET, block_counter
+from randsurf.cycles import block_counter
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
     tv_distance,
     tv_standard_error,
 )
-from randsurf.gluing import sample_uniform_gluing, topology
+from randsurf.gluing import SIDE_BUDGET, sample_uniform_gluing, topology
 from randsurf.words import WordClass
 
 CHUNK = 256  # fixed work unit, deliberately independent of the worker count

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
+from randsurf import gluing
 from randsurf.exact import enumerate_all_gluings
 from randsurf.gluing import (
     SEED_BLOCK,
     Gluing,
     TopologyReport,
+    _block_rows,
+    _hashed_state,
     _next_arrays,
     _seed_block,
+    _uint32_words,
     next_side,
     sample_uniform_gluing,
     step,
@@ -157,6 +161,8 @@ def test_sampled_partners_are_valid_gluings(monkeypatch, n):
     for g in sampled:
         assert g.half_count == n and g.partner.dtype == np.int64
         Gluing(n, g.partner)  # raises unless a fixed-point-free involution
+        with pytest.raises(ValueError):  # rows of a shared cached block
+            g.partner[1] = 0
 
 
 def test_sampling_guards():
@@ -175,9 +181,9 @@ def test_sampling_guards():
 def test_seed_block_rows_equal_seed_sequence_state(seed, index):
     block, row = divmod(index, SEED_BLOCK)
     want = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)
-    got = _seed_block(seed, block)[row]
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, want)
+    for got in (_seed_block(seed, block)[row], _hashed_state(seed, _uint32_words(index))):
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
 
 
 def test_seed_blocks_equal_seed_sequence_state_on_every_row():
@@ -190,15 +196,78 @@ def test_seed_blocks_equal_seed_sequence_state_on_every_row():
         assert np.array_equal(_seed_block(seed, block), want)
 
 
-@pytest.mark.parametrize("n", [1, 10, 1000])
-def test_samples_equal_the_seed_sequence_reference(n):
-    # the stream's one definition, built the slow way
-    cases = ((0, 0), (2024, 255), (2024, 256), (7, 2**32 + 9), (2**64 + 5, 1))
-    for seed, index in cases + ((np.int64(2**40 + 3), np.uint64(2**33 + 1)),):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        perm = np.random.default_rng(ss).permutation(6 * n) + 1
-        want = Gluing.from_pairs(n, zip(perm[0::2].tolist(), perm[1::2].tolist()))
-        assert np.array_equal(sample_uniform_gluing(n, seed, index).partner, want.partner)
+def reference_partner(n: int, seed: int, index: int) -> np.ndarray:
+    """The stream's one definition, built the slow way."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    perm = np.random.default_rng(ss).permutation(6 * n) + 1
+    return Gluing.from_pairs(n, zip(perm[0::2].tolist(), perm[1::2].tolist())).partner
+
+
+def forget_draws():
+    """Empty the sampler's caches, so that the next draw from any block is its first."""
+    gluing._seed_block.cache_clear()
+    gluing._partner_block.cache_clear()
+    gluing._DRAWN.clear()
+
+
+@pytest.fixture
+def fresh_sampler():
+    forget_draws()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000])
+def test_samples_equal_the_seed_sequence_reference(fresh_sampler, n):
+    rows = _block_rows(n)
+    assert rows == {1: 256, 2: 256, 10: 64, 1000: 1}[n]
+    # block edges; indices from 2^32 on have a two-word spawn key
+    edges = (rows - 1, rows, 255, 256, 2**32 - 1, 2**32)
+    cases = [(2024, i) for i in edges] + [(0, 0), (7, 2**32 + 9), (2**64 + 5, 1)]
+    for seed, index in cases + [(np.int64(2**40 + 3), np.uint64(2**33 + 1))]:
+        want = reference_partner(n, int(seed), int(index))
+        # the first draw from a seed block is a one-off row; the second
+        # reads its partner block (or, at rows == 1, its seed block)
+        for _ in range(2):
+            assert np.array_equal(sample_uniform_gluing(n, seed, index).partner, want)
+
+
+def test_every_index_of_a_seed_block_equals_the_reference(fresh_sampler):
+    for index in range(SEED_BLOCK):
+        want = reference_partner(10, 31, index)
+        assert np.array_equal(sample_uniform_gluing(10, 31, index).partner, want)
+
+
+@pytest.mark.parametrize("n", [2, 10, 100])
+def test_draw_order_does_not_change_samples(n):
+    indices = range(2 * SEED_BLOCK + 3)
+    consecutive = {
+        (seed, i): sample_uniform_gluing(n, seed, i).partner.copy()
+        for seed in (5, 6)
+        for i in indices
+    }
+    orders = {
+        "reverse": [(5, i) for i in reversed(indices)],
+        "interleaved": [(seed, i) for i in indices for seed in (5, 6)],
+        # each the first draw from its seed block
+        "one-off": [(5, 0), (6, 257), (5, 514), (6, 3)],
+    }
+    for order in orders.values():
+        forget_draws()
+        for seed, i in order:
+            got = sample_uniform_gluing(n, seed, i).partner
+            assert np.array_equal(got, consecutive[seed, i]), (order, seed, i)
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000])
+def test_a_first_draw_builds_no_block(fresh_sampler, n):
+    # a caller that draws one index per seed pays for one row, not a block
+    for seed in range(20):
+        sample_uniform_gluing(n, seed, 7)
+    assert gluing._seed_block.cache_info().currsize == 0
+    assert gluing._partner_block.cache_info().currsize == 0
+    # the second draw from a seed block hashes all of it
+    sample_uniform_gluing(n, 0, 8)
+    assert gluing._seed_block.cache_info().currsize == 1
+    assert gluing._partner_block.cache_info().currsize == (_block_rows(n) > 1)
 
 
 def test_sampling_is_uniform_at_n1():
