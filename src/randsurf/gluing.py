@@ -114,11 +114,14 @@ class Gluing:
         """A gluing whose partner array is valid by construction.
 
         For the sampler and enumerate_all_gluings, which build
-        involutions themselves; it skips the checks of __post_init__.
+        involutions themselves; it skips the checks of __post_init__
+        and writes the fields straight into the instance dict, at half
+        the cost of two object.__setattr__ calls.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "half_count", n)
-        object.__setattr__(g, "partner", partner)
+        fields = g.__dict__
+        fields["half_count"] = n
+        fields["partner"] = partner
         return g
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -393,14 +396,24 @@ class TopologyReport:
 def topology(g: Gluing) -> TopologyReport:
     """Cusps, Euler characteristic, connectivity and genus of the surface.
 
-    Both passes are numpy array code, the same for every N.  Cusps are
-    the orbits of ``vertex_permutation``: each label learns the minimum
-    of its orbit by pointer doubling, and the labels that are their own
-    minimum represent the cusps.  Components
-    come from min-label propagation over the triangle adjacency, in the
-    style of Shiloach-Vishkin: every round hooks each root to the
-    smallest root next to its tree and shortcuts the forest to stars,
-    until no root has a smaller neighbour.
+    Both passes are numpy array code, the same for every N.
+
+    Cusps are the orbits of ``vertex_permutation``: each label learns
+    the minimum of its orbit by pointer doubling, and the labels that
+    are their own minimum represent the cusps.  The first round reads
+    the permutation itself; the others gather into two preallocated
+    buffers, and the last one leaves the jumps alone.
+
+    Components come from hook-and-shortcut rounds over the triangle
+    adjacency, in the style of Shiloach-Vishkin: every round shortcuts
+    the forest to stars, then hooks each root to the smallest root next
+    to its tree, until no root has a smaller neighbour.  The forest
+    starts from the cusps rather than from singletons: the smallest
+    label of a cusp lies in the smallest triangle at that cusp, and
+    each triangle's parent is the smallest such triangle over its three
+    corners.  That parent is at most the triangle itself and shares a
+    cusp with it, so it lies in the same component; on a sampled
+    gluing the hooks then find little left to merge.
 
     Gluings are kept even when the surface is disconnected; the genus
     is then the sum of the per-component genera, each obtained from the
@@ -410,30 +423,43 @@ def topology(g: Gluing) -> TopologyReport:
     """
     n = g.half_count
 
-    # orbit minima of the vertex permutation; 2^rounds > 6N >= any orbit
+    # low[s] is the minimum of the first 2^r labels of the orbit of s after
+    # round r; 2^rounds > 6N >= any orbit.  take with mode="clip" writes
+    # straight into its out buffer, which never overlaps its inputs.
+    rounds = (6 * n).bit_length()
     labels = np.arange(6 * n + 1)
-    low, jump = labels, vertex_permutation(g)
-    for _ in range((6 * n).bit_length()):
-        low = np.minimum(low, low[jump])
-        jump = jump[jump]
+    turn = vertex_permutation(g)
+    low, jump = np.minimum(labels, turn), turn[turn]
+    spare = np.empty_like(jump)
+    for r in range(2, rounds + 1):
+        np.take(low, jump, out=spare, mode="clip")
+        np.minimum(low, spare, out=low)
+        if r < rounds:
+            np.take(jump, jump, out=spare, mode="clip")
+            jump, spare = spare, jump
     cusp_reps = np.flatnonzero(low == labels)[1:]
     degrees = np.bincount(low)[cusp_reps]
 
     # root[t] <= t is the forest parent of triangle t; slot 0 is a dummy.
+    # Row i of corners holds corner i of every triangle, so the smallest
+    # cusp label at each triangle is an elementwise minimum of three rows,
+    # about ten times faster than a reduction along the short axis.
+    corners = low[1:].reshape(2 * n, 3).T
+    smallest = np.minimum(np.minimum(corners[0], corners[1]), corners[2])
+    root = np.concatenate(([0], (smallest + 2) // 3))
     # neighbours[i, t - 1] is the triangle across side i of triangle t,
     # laid out by side so that the minimum runs along contiguous rows.
-    root = np.arange(2 * n + 1)
     neighbours = (g.partner[1:].reshape(2 * n, 3).T.copy() + 2) // 3
     while True:
-        hook = root[neighbours].min(axis=0)
-        if (hook >= root[1:]).all():  # every edge stays inside a star
-            break
-        np.minimum.at(root, root[1:], hook)
         while True:
             up = root[root]
             if (up == root).all():
                 break
             root = up
+        hook = root[neighbours].min(axis=0)
+        if (hook >= root[1:]).all():  # every edge stays inside a star
+            break
+        np.minimum.at(root, root[1:], hook)
 
     triangles_in = np.bincount(root[1:], minlength=2 * n + 1)
     cusps_in = np.bincount(root[(cusp_reps + 2) // 3], minlength=2 * n + 1)

@@ -1,7 +1,10 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from randsurf import gluing
@@ -361,6 +364,63 @@ def test_topology_of_a_long_chain():
     report = topology(g)
     assert report == reference_topology(g)
     assert report.connected
+
+
+@pytest.mark.parametrize("n, samples", [(100, 50), (1000, 10)])
+def test_topology_matches_the_reference_on_large_samples(n, samples):
+    # large cusps are where the cusp-seeded forest does most of the merging
+    for i in range(samples):
+        g = sample_uniform_gluing(n, seed=23, index=i)
+        assert topology(g) == reference_topology(g)
+
+
+def test_topology_of_unions_of_sampled_gluings():
+    # two components sit side by side: seeding from the cusps never joins them
+    for i in range(0, 10, 2):
+        pair = [sample_uniform_gluing(300, seed=29, index=i + k) for k in (0, 1)]
+        g = side_by_side(pair)
+        report = topology(g)
+        assert report == reference_topology(g)
+        assert report.component_count == sum(topology(h).component_count for h in pair)
+        assert not report.connected
+
+
+def test_topology_reads_a_read_only_partner_without_writing():
+    g = sample_uniform_gluing(1000, seed=31, index=0)
+    assert not g.partner.flags.writeable
+    writable = Gluing.from_pairs(1000, g.pairs())
+    before = writable.partner.copy()
+    assert topology(g) == topology(writable) == reference_topology(g)
+    assert np.array_equal(writable.partner, before)
+
+
+gluings_up_to_40 = st.integers(1, 40).flatmap(
+    lambda n: st.permutations(range(1, 6 * n + 1)).map(
+        lambda perm: Gluing.from_pairs(n, zip(perm[0::2], perm[1::2]))
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gluings_up_to_40, st.none() | gluings_up_to_40)
+def test_topology_equals_the_reference_on_random_gluings(g, other):
+    # with a second gluing beside the first the surface is disconnected
+    if other is not None:
+        g = side_by_side([g, other])
+    assert topology(g) == reference_topology(g)
+
+
+def test_trusted_gluings_stay_frozen_and_equal_checked_ones():
+    sampled = sample_uniform_gluing(10, seed=3, index=0)
+    direct = Gluing._trusted(1, np.array([0, 4, 5, 6, 1, 2, 3]))
+    for g in (sampled, direct):
+        checked = Gluing.from_pairs(g.half_count, g.pairs())
+        assert vars(g).keys() == vars(checked).keys()
+        assert g.half_count == checked.half_count
+        assert np.array_equal(g.partner, checked.partner)
+        for field in dataclasses.fields(Gluing):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, field.name, getattr(g, field.name))
 
 
 def test_topology_fields_are_python_scalars(torus_gluing):
