@@ -27,9 +27,9 @@ fixed-point count.  block_counter is the only counter: built once for
 a gluing count N, a block size and a class tuple, it evaluates the
 formula on whole blocks of gluings, with one matrix product of the
 fixed-point counts and the Burnside weights.  The Monte Carlo and the
-exact oracle count their gluings in blocks of at most SIDE_BUDGET
-partner entries, and count_vector is the one-row call; count_cycles
-is one count_vector call.
+exact oracle count their gluings in blocks of gluing.block_rows(N)
+rows, and count_vector is the one-row call; count_cycles is one
+count_vector call.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
@@ -47,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from randsurf.gluing import SIDE_BUDGET, Gluing, _next_arrays
+from randsurf.gluing import Gluing, _next_arrays
 from randsurf.words import (
     WordClass,
     canonicalize,

@@ -11,8 +11,8 @@ So the law needs only the rooted connected gluings:
   with a larger open side, or with side 1 of a fresh triangle, and a
   branch that closes with fewer than m triangles open is dropped.  Each
   one stands for (m - 1)! * 3^(m - 1) labelled connected gluings.
-- Its rows are counted in blocks of at most SIDE_BUDGET partner entries
-  by cycles.block_counter, the counter that count_vector and the Monte
+- Its rows are counted in blocks of gluing.block_rows(m / 2) rows by
+  cycles.block_counter, the counter that count_vector and the Monte
   Carlo use as well.
 - Counts add over components, so conditioning on the component that
   holds triangle 1 gives the exponential formula
@@ -41,7 +41,7 @@ import numpy as np
 
 from randsurf.cycles import block_counter
 from randsurf.dists import FiniteDistribution, product_poisson_on, tv_distance
-from randsurf.gluing import SIDE_BUDGET, Gluing
+from randsurf.gluing import Gluing, block_rows
 from randsurf.words import WordClass
 
 MAX_EXACT_N = 5
@@ -112,7 +112,7 @@ def _rooted_connected(m: int) -> Iterator[list[int]]:
 
 def _connected_law(m: int, classes: tuple[WordClass, ...]) -> Counter:
     """Count vectors of the labelled connected gluings of m triangles, with multiplicity."""
-    rows = max(1, SIDE_BUDGET // (3 * m + 1))
+    rows = block_rows(m // 2)
     count = block_counter(m // 2, rows, classes)
     law: Counter = Counter()
     gluings = _rooted_connected(m)

@@ -16,17 +16,16 @@ Sample i of a seed pairs off consecutive entries of permutation(6N)
 drawn from PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(i,)).
 No SeedSequence is built, and the streams are the same bit for bit:
 the sampler runs numpy's SeedSequence hash on whole blocks of
-SEED_BLOCK = 256 spawn keys, and builds the partner arrays of up to 256
-consecutive samples at once, with one Generator.shuffle per sample and
-two scatters per block.  SIDE_BUDGET bounds the partner entries in such
-a block, and in the blocks that the Monte Carlo and the exact oracle
-feed to the class counter.
+SEED_BLOCK = 256 spawn keys, and builds the partner arrays of
+block_rows(N) consecutive samples at once, with one Generator.shuffle
+per sample and two scatters per block.  block_rows is the one rule for
+a block's size: the Monte Carlo and the exact oracle feed the class
+counter blocks of the same number of rows.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -133,7 +132,7 @@ class Gluing:
         return tuple(out)
 
 
-SIDE_BUDGET = 4096  # partner entries in one block: 64 sampled and 67 counted rows at N = 10
+SIDE_BUDGET = 4096  # partner entries in one block: 64 rows at N = 10
 SEED_BLOCK = 256  # spawn keys seeded in one pass; a power of two <= 2^32
 
 # numpy's SeedSequence: a pool of 4 uint32 words and its hash constants
@@ -244,17 +243,17 @@ def _generator_from_state():
 
 
 @lru_cache(maxsize=64)
-def _block_rows(n: int) -> int:
-    """Samples R in a partner block at N; 1 means that no block is built.
+def block_rows(n: int) -> int:
+    """Rows R of a partner block at N, for the sampler and the class counter.
 
     R is the largest power of two <= SEED_BLOCK with R * (6N + 1) <=
     SIDE_BUDGET: 256 at N <= 2, 64 at N = 10, 4 at N = 100.  It divides
     SEED_BLOCK, so a partner block never straddles a seed block or a
-    Monte Carlo chunk.  Below 4 rows (N > 170) R is 1: a block's dozen
-    fixed numpy calls then cost more than the per-row calls it saves
-    (shared 2-core Xeon: at N = 250, 48.6 us per sample in blocks of 2
-    against 45.7 us one row at a time; at N = 100, 27.3 us in blocks of
-    4 against 28.6 us).
+    Monte Carlo chunk.  Below 4 rows (N > 170) R is 1, one sample per
+    block: a block's dozen fixed numpy calls then cost more than the
+    per-row calls it saves (shared 2-core Xeon: at N = 250, 48.6 us per
+    sample in blocks of 2 against 45.7 us one row at a time; at N = 100,
+    27.3 us in blocks of 4 against 28.6 us).
     """
     fit = min(SEED_BLOCK, SIDE_BUDGET // (6 * n + 1))
     return 1 << fit.bit_length() - 1 if fit >= 4 else 1
@@ -266,7 +265,7 @@ def _pairing_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Cached per N and shared by every partner block, hence read-only.
     """
-    rows, width = _block_rows(n), 6 * n + 1
+    rows, width = block_rows(n), 6 * n + 1
     labels = np.tile(np.arange(1, width, dtype=np.int64), (rows, 1))
     offsets = np.arange(0, rows * width, width, dtype=np.int64)[:, None]
     labels.setflags(write=False)
@@ -274,32 +273,17 @@ def _pairing_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, offsets
 
 
-def _paired_row(n: int, state: np.ndarray) -> np.ndarray:
-    """Read-only partner array of the sample whose PCG64 state words are given.
-
-    A shuffle picks positions without looking at values, so shuffling
-    the labels 1..6N gives permutation(6N) + 1 of the same generator.
-    The pairs scatter from contiguous copies of the even and odd
-    positions, which numpy indexes faster than strided views.
-    """
-    perm = np.arange(1, 6 * n + 1, dtype=np.int64)
-    _generator_from_state()(state).shuffle(perm)
-    partner = np.zeros(6 * n + 1, dtype=np.int64)
-    even, odd = perm[0::2].copy(), perm[1::2].copy()
-    partner[even] = odd
-    partner[odd] = even
-    partner.setflags(write=False)
-    return partner
-
-
 @lru_cache(maxsize=4)
 def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
     """Partner arrays of samples block * R .. block * R + R - 1, as (R, 6N + 1) int64.
 
-    One copy of the tiled labels, one shuffle per row with the row's
-    own generator (as in _paired_row), and two flat scatters that pair
-    positions 2j and 2j + 1 of every row.  Cached and shared, hence
-    read-only.
+    One copy of the tiled labels and one shuffle per row with the row's
+    own generator: a shuffle picks positions without looking at values,
+    so shuffling the labels 1..6N gives permutation(6N) + 1 of that
+    generator.  Two flat scatters then pair positions 2j and 2j + 1 of
+    every row, from contiguous copies of the even and odd positions,
+    which numpy indexes faster than strided views.  Cached and shared,
+    hence read-only.
     """
     labels, offsets = _pairing_arrays(n)
     rows = len(labels)
@@ -317,23 +301,6 @@ def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
     return partner
 
 
-_DRAWN: OrderedDict = OrderedDict()  # (N, seed, seed block) drawn from, oldest first
-_DRAWN_MEMORY = 64
-
-
-def _drawn_before(key: tuple) -> bool:
-    """Whether a sample was drawn from this seed block before; remembers it.
-
-    It picks how a sample is computed, never what it is.
-    """
-    if key in _DRAWN:
-        return True
-    _DRAWN[key] = None
-    if len(_DRAWN) > _DRAWN_MEMORY:
-        _DRAWN.popitem(last=False)
-    return False
-
-
 def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     """Uniform gluing from the stream determined by (seed, index).
 
@@ -345,29 +312,19 @@ def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     reproducible.
 
     No SeedSequence is built, and the stream is the same bit for bit.
-    The first draw from a block of SEED_BLOCK indices hashes its own
-    spawn key and shuffles its own row, so a caller that draws one
-    index per seed pays for one sample.  Later draws from the block
-    read its state words from _seed_block, hashed for the whole block
-    at once.  Where R > 1 (see _block_rows), their partner array is row
-    index mod R of a cached (R, 6N + 1) block from _partner_block.
-    Every row still costs one Generator.shuffle.  The partner array is
-    int64 and read-only.
+    The partner array is row index mod R of the cached (R, 6N + 1)
+    block from _partner_block, with R = block_rows(N); its rows' state
+    words come from _seed_block, hashed for SEED_BLOCK indices at once.
+    Every row costs one Generator.shuffle.  The partner array is int64
+    and read-only.
     """
     _check_half_count(n)
     # Python ints, so that the hash's products never meet a numpy scalar
     seed, index = operator.index(seed), operator.index(index)
     if seed < 0 or index < 0:
         raise ValueError("seed and index must be nonnegative integers")
-    rows = _block_rows(n)
-    block, row = divmod(index, SEED_BLOCK)
-    if not _drawn_before((n, seed, block)):
-        state = _hashed_state(seed, _uint32_words(index))
-    elif rows == 1:
-        state = _seed_block(seed, block)[row]
-    else:
-        return Gluing._trusted(n, _partner_block(n, seed, index // rows)[index % rows])
-    return Gluing._trusted(n, _paired_row(n, state))
+    block, row = divmod(index, block_rows(n))
+    return Gluing._trusted(n, _partner_block(n, seed, block)[row])
 
 
 def step(g: Gluing, side: int, turn: str) -> int:

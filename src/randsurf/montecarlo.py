@@ -4,25 +4,23 @@ Sample i is always drawn from the stream keyed by (seed, i): PCG64
 seeded by SeedSequence(entropy=seed, spawn_key=(i,)), one
 sample_uniform_gluing call per sample.  The sampler hashes the seeds of
 SEED_BLOCK = 256 consecutive indices at once and builds their partner
-arrays in blocks of at most SIDE_BUDGET entries (one at a time above
+arrays in blocks of gluing.block_rows(N) rows (one at a time above
 N = 170), and a chunk is the same 256 indices.  So a chunk pays for one
 hash pass and two scatters per partner block, besides one shuffle per
-sample.  Its first sample is drawn alone, at the cost of one more
-single-key hash and, where blocks are built, one more shuffle.  The only
-accumulators are histograms of integer outcomes, merged in fixed chunk
-order, and ``summarize`` derives every reported sum from them, so
-results do not depend on chunk scheduling.  Workers therefore change
-wall time, never output.
+sample.  The only accumulators are histograms of integer outcomes,
+merged in fixed chunk order, and ``summarize`` derives every reported
+sum from them, so results do not depend on chunk scheduling.  Workers
+therefore change wall time, never output.
 
-A chunk of CHUNK samples is counted in blocks of at most SIDE_BUDGET
-partner entries: 67 samples at N = 10, one sample at N = 1000.  Each
+A chunk of CHUNK samples is counted in blocks of the sampler's
+block_rows(N) rows: 64 samples at N = 10, one sample at N = 1000.  Each
 block's gluings are sampled, counted with one call of the shared
-block counter, tallied in sample order and dropped.  The budget keeps
-a block's arrays small at every N.  Large blocks gain nothing there:
-at N = 1000, counting 32 samples over the trace <= 7 classes took
-6.4-6.7 ms as one 32-sample block and as 32 one-sample blocks alike
-(2-core Xeon, in process), while each of the counter's arrays holds
-48 kB per row.
+block counter, tallied in sample order and dropped.  The row budget
+keeps a block's arrays small at every N.  Large blocks gain nothing
+there: at N = 1000, counting 32 samples over the trace <= 7 classes
+took 6.4-6.7 ms as one 32-sample block and as 32 one-sample blocks
+alike (2-core Xeon, in process), while each of the counter's arrays
+holds 48 kB per row.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from randsurf.dists import (
     tv_distance,
     tv_standard_error,
 )
-from randsurf.gluing import SIDE_BUDGET, sample_uniform_gluing, topology
+from randsurf.gluing import block_rows, sample_uniform_gluing, topology
 from randsurf.words import WordClass
 
 CHUNK = 256  # fixed work unit, deliberately independent of the worker count
@@ -88,13 +86,12 @@ class Tallies:
 
 
 def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
-    """Tallies of samples start..stop-1, counted in blocks of SIDE_BUDGET sides."""
+    """Tallies of samples start..stop-1, counted in the sampler's blocks."""
     t = Tallies()
     n = plan.half_count
-    width = 6 * n + 1
-    rows = max(1, min(CHUNK, SIDE_BUDGET // width))
+    rows = block_rows(n)
     count = block_counter(n, rows, plan.classes)
-    block = np.empty((rows, width), dtype=np.intp)
+    block = np.empty((rows, 6 * n + 1), dtype=np.intp)
     for first in range(start, stop, rows):
         gluings = []
         for row, index in enumerate(range(first, min(first + rows, stop))):

@@ -13,11 +13,11 @@ from randsurf.gluing import (
     SEED_BLOCK,
     Gluing,
     TopologyReport,
-    _block_rows,
     _hashed_state,
     _next_arrays,
     _seed_block,
     _uint32_words,
+    block_rows,
     next_side,
     sample_uniform_gluing,
     step,
@@ -210,7 +210,6 @@ def forget_draws():
     """Empty the sampler's caches, so that the next draw from any block is its first."""
     gluing._seed_block.cache_clear()
     gluing._partner_block.cache_clear()
-    gluing._DRAWN.clear()
 
 
 @pytest.fixture
@@ -220,15 +219,14 @@ def fresh_sampler():
 
 @pytest.mark.parametrize("n", [1, 2, 10, 1000])
 def test_samples_equal_the_seed_sequence_reference(fresh_sampler, n):
-    rows = _block_rows(n)
+    rows = block_rows(n)
     assert rows == {1: 256, 2: 256, 10: 64, 1000: 1}[n]
     # block edges; indices from 2^32 on have a two-word spawn key
     edges = (rows - 1, rows, 255, 256, 2**32 - 1, 2**32)
     cases = [(2024, i) for i in edges] + [(0, 0), (7, 2**32 + 9), (2**64 + 5, 1)]
     for seed, index in cases + [(np.int64(2**40 + 3), np.uint64(2**33 + 1))]:
         want = reference_partner(n, int(seed), int(index))
-        # the first draw from a seed block is a one-off row; the second
-        # reads its partner block (or, at rows == 1, its seed block)
+        # the first draw builds the partner block; the second reads it
         for _ in range(2):
             assert np.array_equal(sample_uniform_gluing(n, seed, index).partner, want)
 
@@ -239,7 +237,7 @@ def test_every_index_of_a_seed_block_equals_the_reference(fresh_sampler):
         assert np.array_equal(sample_uniform_gluing(10, 31, index).partner, want)
 
 
-@pytest.mark.parametrize("n", [2, 10, 100])
+@pytest.mark.parametrize("n", [2, 10, 100, 1000])
 def test_draw_order_does_not_change_samples(n):
     indices = range(2 * SEED_BLOCK + 3)
     consecutive = {
@@ -258,19 +256,6 @@ def test_draw_order_does_not_change_samples(n):
         for seed, i in order:
             got = sample_uniform_gluing(n, seed, i).partner
             assert np.array_equal(got, consecutive[seed, i]), (order, seed, i)
-
-
-@pytest.mark.parametrize("n", [2, 10, 1000])
-def test_a_first_draw_builds_no_block(fresh_sampler, n):
-    # a caller that draws one index per seed pays for one row, not a block
-    for seed in range(20):
-        sample_uniform_gluing(n, seed, 7)
-    assert gluing._seed_block.cache_info().currsize == 0
-    assert gluing._partner_block.cache_info().currsize == 0
-    # the second draw from a seed block hashes all of it
-    sample_uniform_gluing(n, 0, 8)
-    assert gluing._seed_block.cache_info().currsize == 1
-    assert gluing._partner_block.cache_info().currsize == (_block_rows(n) > 1)
 
 
 def test_sampling_is_uniform_at_n1():

@@ -4,15 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from randsurf import gluing
 from randsurf.cycles import brute_force_counts, count_vector
-from randsurf.gluing import sample_uniform_gluing, topology
-from randsurf.montecarlo import (
-    CHUNK,
-    SIDE_BUDGET,
-    ExperimentPlan,
-    run_plan,
-    summarize,
-)
+from randsurf.gluing import block_rows, sample_uniform_gluing, topology
+from randsurf.montecarlo import CHUNK, ExperimentPlan, run_plan, summarize
 from randsurf.words import canonicalize
 
 
@@ -76,12 +71,13 @@ def test_run_plan_tallies_equal_count_vector_sums_with_non_primitive_classes():
     assert summarize(plan, tallies).per_class[2].mean == Fraction(sums[2], 30)
 
 
-@pytest.mark.parametrize("n, samples, rows", [(10, CHUNK + 150, 67), (700, 5, 1)])
+@pytest.mark.parametrize("n, samples, rows", [(10, CHUNK + 150, 64), (700, 5, 1)])
 def test_blocked_tallies_equal_a_per_sample_brute_force_loop(n, samples, rows):
-    # chunks of 256 are counted in blocks of rows samples: at N = 10 the
-    # 67-row blocks divide neither a chunk nor the 406 samples, so short
-    # blocks and a short chunk occur; at N = 700 every block is one sample
-    assert max(1, min(CHUNK, SIDE_BUDGET // (6 * n + 1))) == rows
+    # chunks of 256 are counted in the sampler's blocks of rows samples:
+    # at N = 10 the 64-row blocks divide a full chunk, but the final chunk
+    # of 150 samples ends in a short 22-row block; at N = 700 every block
+    # is one sample
+    assert block_rows(n) == rows
     classes = tuple(canonicalize(w) for w in ("LR", "LL", "LLR"))
     plan = ExperimentPlan(half_count=n, classes=classes, samples=samples, seed=8)
     tallies = run_plan(plan)
@@ -97,6 +93,36 @@ def test_blocked_tallies_equal_a_per_sample_brute_force_loop(n, samples, rows):
     assert tallies.joint == joint
     assert list(tallies.joint) == list(joint)  # atoms in order of first appearance
     assert tallies.shapes == shapes
+
+
+def test_a_chunk_hashes_its_seeds_once_and_shuffles_each_row_once(monkeypatch, lr):
+    # the sampler's blocks are the counter's blocks: 256 samples at N = 10
+    # are four 64-row partner blocks from one hashed seed block
+    gluing._seed_block.cache_clear()
+    gluing._partner_block.cache_clear()
+    hashes, shuffled = [], []
+    real_hash, make = gluing._hashed_state, gluing._generator_from_state()
+
+    def counting_hash(*args):
+        hashes.append(args)
+        return real_hash(*args)
+
+    class CountingGenerator:
+        def __init__(self, words):
+            self.generator = make(words)
+
+        def shuffle(self, row):
+            shuffled.append(len(row))
+            self.generator.shuffle(row)
+
+    monkeypatch.setattr(gluing, "_hashed_state", counting_hash)
+    monkeypatch.setattr(gluing, "_generator_from_state", lambda: CountingGenerator)
+    plan = ExperimentPlan(
+        half_count=10, classes=(lr,), samples=CHUNK, seed=4, with_topology=False
+    )
+    assert sum(run_plan(plan).joint.values()) == CHUNK
+    assert len(hashes) == 1
+    assert shuffled == [60] * CHUNK
 
 
 def test_worker_counts_agree_even_mid_chunk(lr):

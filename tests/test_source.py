@@ -111,3 +111,22 @@ def test_no_seed_sequence_is_built_in_the_package():
         in ("SeedSequence", "default_rng")
     ]
     assert not calls, f"seed sequences built in the package: {calls}"
+
+
+def test_side_budget_is_read_only_by_block_rows():
+    # block_rows is the one rule for a block's size; the sampler, the Monte
+    # Carlo and the exact oracle all take their rows from it
+    readers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                imported = isinstance(node, ast.alias) and node.name == "SIDE_BUDGET"
+                loaded = (
+                    isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)
+                    and getattr(node, "id", getattr(node, "attr", None)) == "SIDE_BUDGET"
+                )
+                if imported or loaded:
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {("gluing.py", "block_rows")}
