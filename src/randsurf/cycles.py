@@ -28,8 +28,9 @@ a gluing count N, a block size and a class tuple, it evaluates the
 formula on whole blocks of gluings, with one matrix product of the
 fixed-point counts and the Burnside weights.  The Monte Carlo and the
 exact oracle count their gluings in blocks of gluing.block_rows(N)
-rows, and count_vector is the one-row call; count_cycles is one
-count_vector call.
+rows, and count_vector is the one-row call.  The Monte Carlo and
+count_vector share the counters of cached_counter, so neither builds
+one per call.  count_cycles is one count_vector call.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
@@ -172,13 +173,19 @@ def block_counter(
 
 
 @lru_cache(maxsize=8)
-def _row_counter(n: int, classes: tuple[WordClass, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The one-row block_counter of (N, classes), built once for a loop over gluings.
+def cached_counter(
+    n: int, rows: int, classes: tuple[WordClass, ...]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The block_counter of (N, rows, classes), built once per process.
 
-    Bounded, since a counter keeps its arrays: one bool row of 6N + 1
-    per Burnside prefix.
+    count_vector takes its one-row counter here and the Monte Carlo its
+    counter of block_rows(N) rows, so a loop over gluings or a run of
+    chunks builds it once; above N = 170 both are the same counter.
+    Bounded, since a counter keeps its arrays: one bool row of
+    rows * (6N + 1) per Burnside prefix, among others.  A counter
+    refills those arrays on every call, so its callers take turns.
     """
-    return block_counter(n, 1, classes)
+    return block_counter(n, rows, classes)
 
 
 def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
@@ -187,7 +194,7 @@ def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int
     The one-row call of block_counter.
     """
     classes = tuple(classes)
-    counts = _row_counter(g.half_count, classes)(g.partner[None])[0]
+    counts = cached_counter(g.half_count, 1, classes)(g.partner[None])[0]
     return dict(zip(classes, counts.tolist()))
 
 

@@ -273,7 +273,7 @@ def _pairing_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, offsets
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
     """Partner arrays of samples block * R .. block * R + R - 1, as (R, 6N + 1) int64.
 
@@ -283,7 +283,9 @@ def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
     generator.  Two flat scatters then pair positions 2j and 2j + 1 of
     every row, from contiguous copies of the even and odd positions,
     which numpy indexes faster than strided views.  Cached and shared,
-    hence read-only.
+    hence read-only.  Only the block being read is kept: a Monte Carlo
+    chunk reads its blocks in index order and never returns to one, and
+    above N = 170 every sample is a block of its own.
     """
     labels, offsets = _pairing_arrays(n)
     rows = len(labels)
@@ -350,16 +352,38 @@ class TopologyReport:
     cusp_degrees: tuple[int, ...]
 
 
+# Plain doubling rounds before topology contracts the runs: a window of 16
+# labels.  At N = 100 and N = 1000 alike, 3 or 5 rounds cost more.
+WINDOW_ROUNDS = 4
+
+
 def topology(g: Gluing) -> TopologyReport:
     """Cusps, Euler characteristic, connectivity and genus of the surface.
 
     Both passes are numpy array code, the same for every N.
 
-    Cusps are the orbits of ``vertex_permutation``: each label learns
-    the minimum of its orbit by pointer doubling, and the labels that
-    are their own minimum represent the cusps.  The first round reads
-    the permutation itself; the others gather into two preallocated
-    buffers, and the last one leaves the jumps alone.
+    Cusps are the orbits of ``vertex_permutation``, found by pointer
+    doubling to the least label of each orbit in two stages.  First,
+    WINDOW_ROUNDS plain rounds give each label the least of the first
+    2^WINDOW_ROUNDS labels of its orbit, its window minimum; the first
+    round reads the permutation itself, the others gather into two
+    preallocated buffers.  An orbit no longer than the window is then
+    settled: each of its labels holds the orbit minimum.  Along a longer
+    orbit the labels sharing a window minimum form one run, about
+    2 * 6N / 17 runs in all, and each run is contracted to one node:
+    the node is named by that minimum, and its successor is the window
+    minimum of the label just past the run's last label.  Settled
+    orbits have no run end, so they take no part.  The doubling then
+    runs on the nodes alone, and the least node of each cycle of nodes
+    is mapped back to the labels of its runs.  At N = 1000 that is 4
+    rounds over the 6N + 1 labels and about 10 over some 700 nodes,
+    instead of 13 rounds over all the labels.
+
+    A cusp's degree is the size of its orbit: one bincount of the window
+    minima, whose values are spread over the runs, gives each run its
+    size, and the sizes of a cycle's runs are summed onto its least
+    node.  A bincount of the orbit minima themselves would pile its
+    increments onto the few cusp counters.
 
     Components come from hook-and-shortcut rounds over the triangle
     adjacency, in the style of Shiloach-Vishkin: every round shortcuts
@@ -370,7 +394,9 @@ def topology(g: Gluing) -> TopologyReport:
     each triangle's parent is the smallest such triangle over its three
     corners.  That parent is at most the triangle itself and shares a
     cusp with it, so it lies in the same component; on a sampled
-    gluing the hooks then find little left to merge.
+    gluing the hooks then find little left to merge.  Every side lies
+    at exactly one cusp, so a component's side count, three times its
+    triangle count, is the sum of its cusps' degrees.
 
     Gluings are kept even when the surface is disconnected; the genus
     is then the sum of the per-component genera, each obtained from the
@@ -381,21 +407,51 @@ def topology(g: Gluing) -> TopologyReport:
     n = g.half_count
 
     # low[s] is the minimum of the first 2^r labels of the orbit of s after
-    # round r; 2^rounds > 6N >= any orbit.  take with mode="clip" writes
-    # straight into its out buffer, which never overlaps its inputs.
-    rounds = (6 * n).bit_length()
+    # round r.  take with mode="clip" writes straight into its out buffer,
+    # which never overlaps its inputs.
     labels = np.arange(6 * n + 1)
     turn = vertex_permutation(g)
     low, jump = np.minimum(labels, turn), turn[turn]
     spare = np.empty_like(jump)
-    for r in range(2, rounds + 1):
+    for r in range(2, WINDOW_ROUNDS + 1):
         np.take(low, jump, out=spare, mode="clip")
         np.minimum(low, spare, out=low)
-        if r < rounds:
+        if r < WINDOW_ROUNDS:
             np.take(jump, jump, out=spare, mode="clip")
             jump, spare = spare, jump
+    # A run ends where the next label's window minimum differs.  node maps
+    # each run's minimum to its node index, and later to its orbit minimum;
+    # every other label maps to itself.  node reuses the jump buffer, the
+    # orbit minima land in spare, and dead arrays go before new ones come,
+    # so no more label-sized arrays are live at once than in the plain
+    # rounds.  malloc may trim the heap top after each call, and then every
+    # array above that peak is paged in again on the next call: at N = 1000
+    # that cost about 60 page faults a call in the benchmark's pool workers.
+    after = np.take(low, turn, out=spare, mode="clip")
+    del turn
+    ends = np.flatnonzero(after != low)
+    heads = low[ends]
+    node = jump
+    np.copyto(node, labels)
+    node[heads] = np.arange(len(ends))
+    succ = node[after[ends]]
+    least = heads
+    # after round r, least holds the minimum of 2^r nodes along the cycle,
+    # and no cycle is longer than len(ends)
+    for _ in range(len(ends).bit_length()):
+        least = np.minimum(least, least[succ])
+        succ = succ[succ]
+    node[heads] = least
+    # run sizes, summed onto each cycle's least node; a settled orbit's
+    # minimum counts the whole orbit already
+    degree = np.bincount(low)
+    run_sizes = degree[heads]
+    degree[heads] = 0
+    np.add.at(degree, least, run_sizes)
+    low = np.take(node, low, out=spare, mode="clip")
     cusp_reps = np.flatnonzero(low == labels)[1:]
-    degrees = np.bincount(low)[cusp_reps]
+    degrees = degree[cusp_reps]
+    del labels, node, degree
 
     # root[t] <= t is the forest parent of triangle t; slot 0 is a dummy.
     # Row i of corners holds corner i of every triangle, so the smallest
@@ -406,7 +462,9 @@ def topology(g: Gluing) -> TopologyReport:
     root = np.concatenate(([0], (smallest + 2) // 3))
     # neighbours[i, t - 1] is the triangle across side i of triangle t,
     # laid out by side so that the minimum runs along contiguous rows.
-    neighbours = (g.partner[1:].reshape(2 * n, 3).T.copy() + 2) // 3
+    neighbours = g.partner[1:].reshape(2 * n, 3).T.copy()
+    neighbours += 2
+    neighbours //= 3
     while True:
         while True:
             up = root[root]
@@ -418,10 +476,13 @@ def topology(g: Gluing) -> TopologyReport:
             break
         np.minimum.at(root, root[1:], hook)
 
-    triangles_in = np.bincount(root[1:], minlength=2 * n + 1)
-    cusps_in = np.bincount(root[(cusp_reps + 2) // 3], minlength=2 * n + 1)
-    is_root = triangles_in > 0
-    triangles_in, cusps_in = triangles_in[is_root], cusps_in[is_root]
+    # every component has a cusp, so the roots of the cusps are all the roots
+    cusp_roots = root[(cusp_reps + 2) // 3]
+    cusps_in = np.bincount(cusp_roots)
+    sides_in = np.zeros_like(cusps_in)
+    np.add.at(sides_in, cusp_roots, degrees)
+    is_root = cusps_in > 0
+    cusps_in, triangles_in = cusps_in[is_root], sides_in[is_root] // 3
     odd = triangles_in % 2 == 1
     if odd.any():
         tri = int(triangles_in[odd][0])

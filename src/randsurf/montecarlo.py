@@ -20,7 +20,18 @@ keeps a block's arrays small at every N.  Large blocks gain nothing
 there: at N = 1000, counting 32 samples over the trace <= 7 classes
 took 6.4-6.7 ms as one 32-sample block and as 32 one-sample blocks
 alike (2-core Xeon, in process), while each of the counter's arrays
-holds 48 kB per row.
+holds 48 kB per row.  The counter comes from cycles.cached_counter, so
+a process builds it once per run, not once per chunk; a pool parent
+builds none, since it counts nothing.
+
+With more than one worker the chunks run in a multiprocessing pool.
+Before the pool starts, the parent loads the sampler's lazy numpy.random
+import (gluing._generator_from_state), which forked workers inherit
+instead of each importing it on its first sample.  In a one-shot CLI
+run that saves workers - 1 imports of CPU time and leaves wall time
+about the same, as the parent imports while no worker runs yet.
+Repeated runs in one process, such as the benchmark or a library
+sweep, save every import after the first run.
 """
 
 from __future__ import annotations
@@ -35,14 +46,19 @@ from typing import Sequence
 import numpy as np
 
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import block_counter
+from randsurf.cycles import cached_counter
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
     tv_distance,
     tv_standard_error,
 )
-from randsurf.gluing import block_rows, sample_uniform_gluing, topology
+from randsurf.gluing import (
+    _generator_from_state,
+    block_rows,
+    sample_uniform_gluing,
+    topology,
+)
 from randsurf.words import WordClass
 
 CHUNK = 256  # fixed work unit, deliberately independent of the worker count
@@ -90,7 +106,7 @@ def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
     t = Tallies()
     n = plan.half_count
     rows = block_rows(n)
-    count = block_counter(n, rows, plan.classes)
+    count = cached_counter(n, rows, tuple(plan.classes))
     block = np.empty((rows, 6 * n + 1), dtype=np.intp)
     for first in range(start, stop, rows):
         gluings = []
@@ -115,6 +131,7 @@ def run_plan(plan: ExperimentPlan) -> Tallies:
     if plan.workers == 1 or len(spans) == 1:
         parts = (_run_chunk(plan, a, b) for a, b in spans)
     else:
+        _generator_from_state()  # forked workers inherit numpy.random
         with multiprocessing.Pool(processes=min(plan.workers, len(spans))) as pool:
             parts = pool.starmap(
                 _run_chunk, [(plan, a, b) for a, b in spans], chunksize=1

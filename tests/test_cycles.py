@@ -197,7 +197,7 @@ def test_count_vector_builds_one_counter_per_class_tuple(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(cycles, "block_counter", counting)
-    cycles._row_counter.cache_clear()
+    cycles.cached_counter.cache_clear()
     classes = [canonicalize(w) for w in ("LR", "LLR", "LRLR")]
     gluings = [sample_uniform_gluing(5, seed=23, index=i) for i in range(4)]
     got = [count_vector(g, classes) for g in gluings]

@@ -106,6 +106,60 @@ def chain_gluing(n: int) -> Gluing:
     return Gluing.from_pairs(n, pairs)
 
 
+def cusp_of_each_label(g: Gluing) -> np.ndarray:
+    """The least label of the vertex orbit of each label, walked one step at a time."""
+    v = vertex_permutation(g).tolist()
+    least = [0] * len(v)
+    for rep in range(1, len(v)):
+        s = rep
+        while not least[s]:
+            least[s] = rep
+            s = v[s]
+    return np.array(least)
+
+
+def one_cusp_gluing(g: Gluing) -> Gluing:
+    """Reglue a connected gluing at odd N until its vertex permutation is one orbit.
+
+    Trading the pairs {a, a'} and {b, b'} for {a, b'} and {b, a'} turns
+    the vertex permutation v into v (a b) (a' b').  The first factor joins
+    the cusps of a and b; the second joins two more cusps unless a' and b'
+    then share one.  Each trade picks the first such a and b, so the
+    cusp count falls by two.
+    """
+    n = g.half_count
+    partner = g.partner.copy()
+    labels = np.arange(6 * n + 1)
+    while True:
+        cusp = cusp_of_each_label(Gluing(n, partner))
+        if (cusp[1:] == 1).all():
+            return Gluing(n, partner)
+        mate = cusp[partner]  # the cusp of each label's partner
+        for a in range(1, 6 * n + 1):
+            # cusps of a' and of every b', once the cusp of b has joined a's
+            joined_a, joined_b = (np.where(m == cusp, cusp[a], m) for m in (mate[a], mate))
+            fits = (cusp != cusp[a]) & (joined_a != joined_b) & (labels != partner[a])
+            fits[0] = False
+            if fits.any():
+                b = int(np.argmax(fits))
+                a2, b2 = int(partner[a]), int(partner[b])
+                partner[a], partner[b2], partner[b], partner[a2] = b2, a, a2, b
+                break
+        else:
+            raise ValueError("no trade joins three cusps: disconnected, or N is even")
+
+
+def short_cusp_gluings() -> list[Gluing]:
+    """Sampled N = 3 gluings whose cusps all fit in topology's doubling window.
+
+    The window is 2^WINDOW_ROUNDS = 16 labels, and some of these cusps
+    are exactly that long.
+    """
+    window = 2**gluing.WINDOW_ROUNDS
+    sampled = (sample_uniform_gluing(3, seed=37, index=i) for i in range(120))
+    return [g for g in sampled if max(reference_topology(g).cusp_degrees) <= window]
+
+
 def test_side_navigation():
     assert triangle_of(1) == 1 and triangle_of(3) == 1 and triangle_of(4) == 2
     # Left walks forward around the triangle, Right backward
@@ -351,7 +405,7 @@ def test_topology_of_a_long_chain():
     assert report.connected
 
 
-@pytest.mark.parametrize("n, samples", [(100, 50), (1000, 10)])
+@pytest.mark.parametrize("n, samples", [(100, 50), (1000, 10), (10_000, 2)])
 def test_topology_matches_the_reference_on_large_samples(n, samples):
     # large cusps are where the cusp-seeded forest does most of the merging
     for i in range(samples):
@@ -368,6 +422,39 @@ def test_topology_of_unions_of_sampled_gluings():
         assert report == reference_topology(g)
         assert report.component_count == sum(topology(h).component_count for h in pair)
         assert not report.connected
+
+
+@pytest.mark.parametrize("n", [3, 1001])
+def test_topology_of_a_single_orbit_of_all_labels(n):
+    # every run of window minima lies on one cycle, the longest there can be
+    g = one_cusp_gluing(sample_uniform_gluing(n, seed=43, index=0))
+    report = topology(g)
+    assert report == reference_topology(g)
+    assert report.cusp_degrees == (6 * n,)
+    assert report.total_genus == (n + 1) // 2
+
+
+def test_topology_when_every_cusp_fits_in_the_doubling_window():
+    # every orbit is settled by the plain rounds, so no run is contracted
+    short = short_cusp_gluings()
+    g = side_by_side(short)
+    report = topology(g)
+    assert report == reference_topology(g)
+    assert report.component_count >= len(short)
+    assert max(report.cusp_degrees) == 2**gluing.WINDOW_ROUNDS
+
+
+def test_topology_of_long_and_short_cusps_side_by_side():
+    # contracted orbits and settled ones in one vertex permutation
+    short = short_cusp_gluings()
+    long = [
+        one_cusp_gluing(sample_uniform_gluing(n, seed=47, index=0)) for n in (101, 151)
+    ]
+    g = side_by_side(short[:10] + long[:1] + short[10:] + long[1:])
+    assert g.half_count >= 300
+    report = topology(g)
+    assert report == reference_topology(g)
+    assert (606, 906) == report.cusp_degrees[-2:]
 
 
 def test_topology_reads_a_read_only_partner_without_writing():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from randsurf import gluing
+from randsurf import cycles, gluing
 from randsurf.cycles import brute_force_counts, count_vector
 from randsurf.gluing import block_rows, sample_uniform_gluing, topology
 from randsurf.montecarlo import CHUNK, ExperimentPlan, run_plan, summarize
@@ -123,6 +123,28 @@ def test_a_chunk_hashes_its_seeds_once_and_shuffles_each_row_once(monkeypatch, l
     assert sum(run_plan(plan).joint.values()) == CHUNK
     assert len(hashes) == 1
     assert shuffled == [60] * CHUNK
+
+
+def test_a_run_builds_its_counter_once_and_keeps_one_partner_block(monkeypatch, lr):
+    # three chunks of 64-row blocks at N = 10 share one counter, and the
+    # sampler keeps only the block being read
+    built = []
+    original = cycles.block_counter
+
+    def counting(*args):
+        built.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(cycles, "block_counter", counting)
+    cycles.cached_counter.cache_clear()
+    plan = ExperimentPlan(
+        half_count=10, classes=(lr,), samples=3 * CHUNK, seed=6, with_topology=False
+    )
+    assert sum(run_plan(plan).joint.values()) == 3 * CHUNK
+    assert built == [(10, 64)]
+    assert gluing._partner_block.cache_info().currsize == 1
+    run_plan(plan)
+    assert built == [(10, 64)]
 
 
 def test_worker_counts_agree_even_mid_chunk(lr):

@@ -64,6 +64,33 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert _fresh_run(code).split() == ["False", "False"]
 
 
+def test_pool_parent_loads_numpy_random_before_the_workers_fork():
+    # forked workers inherit the sampler's import instead of each paying it
+    # on its first sample; the stand-in pool records what the parent holds
+    code = (
+        "import sys\n"
+        "from randsurf import montecarlo\n"
+        "from randsurf.words import canonicalize\n"
+        "class RecordingPool:\n"
+        "    def __init__(self, processes):\n"
+        "        print('numpy.random' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    def starmap(self, fn, args, chunksize=1):\n"
+        "        return [fn(*a) for a in args]\n"
+        "montecarlo.multiprocessing.Pool = RecordingPool\n"
+        "print('numpy.random' in sys.modules)\n"
+        "plan = montecarlo.ExperimentPlan(\n"
+        "    half_count=2, classes=(canonicalize('LR'),), samples=montecarlo.CHUNK + 1,\n"
+        "    seed=1, workers=2,\n"
+        ")\n"
+        "montecarlo.run_plan(plan)\n"
+    )
+    assert _fresh_run(code).split() == ["False", "True"]
+
+
 def test_commands_run_without_mpmath():
     # the exact distance is computed with the decimal module; mpmath is a
     # test-only reference
