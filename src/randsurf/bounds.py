@@ -38,12 +38,11 @@ m_W <= N, enforced as a hard error.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, perm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from randsurf.lognum import LogNumber
 from randsurf.words import MAX_TRACE, WordClass, enumerate_classes_by_trace
@@ -76,8 +75,7 @@ def _viewer(mode: str) -> Callable:
     raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-@dataclass(frozen=True)
-class SigmaSet:
+class SigmaSet(NamedTuple):
     s1: object
     s2: object
     s3: object
@@ -237,8 +235,7 @@ def admissible_trace_for_n(n: int, tol) -> int | None:
     return best
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     half_count: int
     classes: tuple[WordClass, ...]
     card: int

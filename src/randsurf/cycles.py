@@ -41,10 +41,9 @@ count_vector is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,8 +63,7 @@ def _check_max_length(m: int) -> None:
         raise ValueError(f"max cycle length must be in 1..{MAX_CYCLE_LENGTH}, got {m}")
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Cycle class counts of one gluing up to a length cap."""
 
     half_count: int

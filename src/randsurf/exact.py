@@ -30,12 +30,11 @@ is out of range.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,8 +121,7 @@ def _connected_law(m: int, classes: tuple[WordClass, ...]) -> Counter:
     return Counter({vec: cnt * labellings for vec, cnt in law.items()})
 
 
-@dataclass(frozen=True)
-class ExactSystem:
+class ExactSystem(NamedTuple):
     """Exact joint distribution of class counts over all gluings."""
 
     half_count: int

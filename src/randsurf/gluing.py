@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -329,6 +329,18 @@ def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     return Gluing._trusted(n, _partner_block(n, seed, block)[row])
 
 
+def sampled_block(n: int, seed: int, index: int) -> np.ndarray:
+    """The cached, read-only partner block that holds sample index.
+
+    Its rows are the partner arrays of sample_uniform_gluing(n, seed, i)
+    for the R = block_rows(N) indices i from index rounded down to a
+    multiple of R.  For callers that sample those indices and count them
+    as one block: the block comes from _partner_block's cache, so it is
+    built once, by whichever call reaches it first.
+    """
+    return _partner_block(n, seed, index // block_rows(n))
+
+
 def step(g: Gluing, side: int, turn: str) -> int:
     """Exit through the turn-side of the current triangle and cross over."""
     if not 1 <= side <= 6 * g.half_count:
@@ -342,8 +354,7 @@ def vertex_permutation(g: Gluing) -> np.ndarray:
     return left[g.partner]
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(NamedTuple):
     connected: bool
     component_count: int
     cusp_count: int

@@ -14,8 +14,10 @@ therefore change wall time, never output.
 
 A chunk of CHUNK samples is counted in blocks of the sampler's
 block_rows(N) rows: 64 samples at N = 10, one sample at N = 1000.  Each
-block's gluings are sampled, counted with one call of the shared
-block counter, tallied in sample order and dropped.  The row budget
+block's samples are drawn with one sample_uniform_gluing call each, and
+the shared block counter then reads the sampler's cached, read-only
+partner block in place (gluing.sampled_block), with no copy of its
+rows; the counts are tallied in sample order.  The row budget
 keeps a block's arrays small at every N.  Large blocks gain nothing
 there: at N = 1000, counting 32 samples over the trace <= 7 classes
 took 6.4-6.7 ms as one 32-sample block and as 32 one-sample blocks
@@ -25,25 +27,23 @@ a process builds it once per run, not once per chunk; a pool parent
 builds none, since it counts nothing.
 
 With more than one worker the chunks run in a multiprocessing pool.
-Before the pool starts, the parent loads the sampler's lazy numpy.random
-import (gluing._generator_from_state), which forked workers inherit
-instead of each importing it on its first sample.  In a one-shot CLI
-run that saves workers - 1 imports of CPU time and leaves wall time
-about the same, as the parent imports while no worker runs yet.
-Repeated runs in one process, such as the benchmark or a library
+run_plan imports multiprocessing in that branch only, so a serial run
+never loads it.  Before the pool starts, the parent loads the sampler's
+lazy numpy.random import (gluing._generator_from_state), which forked
+workers inherit instead of each importing it on its first sample.  In a
+one-shot CLI run that saves workers - 1 imports of CPU time and leaves
+wall time about the same, as the parent imports while no worker runs
+yet.  Repeated runs in one process, such as the benchmark or a library
 sweep, save every import after the first run.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from randsurf.bounds import BoundReport, bound_report
 from randsurf.cycles import cached_counter
@@ -57,6 +57,7 @@ from randsurf.gluing import (
     _generator_from_state,
     block_rows,
     sample_uniform_gluing,
+    sampled_block,
     topology,
 )
 from randsurf.words import WordClass
@@ -102,23 +103,24 @@ class Tallies:
 
 
 def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
-    """Tallies of samples start..stop-1, counted in the sampler's blocks."""
+    """Tallies of samples start..stop-1, counted in the sampler's blocks.
+
+    start is a multiple of block_rows(N), as every chunk start is, so
+    each block of the loop is one of the sampler's partner blocks.
+    """
     t = Tallies()
     n = plan.half_count
     rows = block_rows(n)
     count = cached_counter(n, rows, tuple(plan.classes))
-    block = np.empty((rows, 6 * n + 1), dtype=np.intp)
     for first in range(start, stop, rows):
-        gluings = []
-        for row, index in enumerate(range(first, min(first + rows, stop))):
-            g = sample_uniform_gluing(n, plan.seed, index)
-            block[row] = g.partner
-            if plan.with_topology:
-                gluings.append(g)
-        t.joint.update(map(tuple, count(block[: row + 1]).tolist()))
-        for g in gluings:
-            top = topology(g)
-            t.shapes[top.component_count, top.total_genus, top.cusp_count] += 1
+        indices = range(first, min(first + rows, stop))
+        gluings = [sample_uniform_gluing(n, plan.seed, i) for i in indices]
+        block = sampled_block(n, plan.seed, first)[: len(indices)]
+        t.joint.update(map(tuple, count(block).tolist()))
+        if plan.with_topology:
+            for g in gluings:
+                top = topology(g)
+                t.shapes[top.component_count, top.total_genus, top.cusp_count] += 1
     return t
 
 
@@ -131,6 +133,8 @@ def run_plan(plan: ExperimentPlan) -> Tallies:
     if plan.workers == 1 or len(spans) == 1:
         parts = (_run_chunk(plan, a, b) for a, b in spans)
     else:
+        import multiprocessing  # loaded by pooled runs only
+
         _generator_from_state()  # forked workers inherit numpy.random
         with multiprocessing.Pool(processes=min(plan.workers, len(spans))) as pool:
             parts = pool.starmap(
@@ -146,8 +150,7 @@ def run_plan(plan: ExperimentPlan) -> Tallies:
 # summaries
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(NamedTuple):
     word_class: WordClass
     mean: Fraction
     mean_se: float
@@ -157,16 +160,14 @@ class ClassSummary:
     max_count: int
 
 
-@dataclass(frozen=True)
-class PairSummary:
+class PairSummary(NamedTuple):
     left: WordClass
     right: WordClass
     covariance: Fraction
     covariance_se: float
 
 
-@dataclass(frozen=True)
-class TopologySummary:
+class TopologySummary(NamedTuple):
     connected_fraction: Fraction
     connected_se: float
     mean_components: Fraction
@@ -176,8 +177,7 @@ class TopologySummary:
     cusps_se: float
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     plan: ExperimentPlan
     per_class: tuple[ClassSummary, ...]
     pairs: tuple[PairSummary, ...]

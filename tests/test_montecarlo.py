@@ -261,7 +261,7 @@ def test_pool_never_outnumbers_the_chunks(monkeypatch, lr):
         def starmap(self, fn, args, chunksize=1):
             return [fn(*a) for a in args]
 
-    monkeypatch.setattr("randsurf.montecarlo.multiprocessing.Pool", InlinePool)
+    monkeypatch.setattr("multiprocessing.Pool", InlinePool)
     plans = [
         ExperimentPlan(half_count=3, classes=(lr,), samples=CHUNK + 44, seed=1, workers=w)
         for w in (64, 1)

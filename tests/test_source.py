@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "randsurf"
 
@@ -64,6 +66,21 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert _fresh_run(code).split() == ["False", "False"]
 
 
+# A stand-in for multiprocessing.Pool that runs starmap in-process and
+# starts no process; on start it prints whether the parent holds numpy.random.
+_RECORDING_POOL = (
+    "class RecordingPool:\n"
+    "    def __init__(self, processes):\n"
+    "        print('numpy.random' in sys.modules)\n"
+    "    def __enter__(self):\n"
+    "        return self\n"
+    "    def __exit__(self, *exc):\n"
+    "        return False\n"
+    "    def starmap(self, fn, args, chunksize=1):\n"
+    "        return [fn(*a) for a in args]\n"
+)
+
+
 def test_pool_parent_loads_numpy_random_before_the_workers_fork():
     # forked workers inherit the sampler's import instead of each paying it
     # on its first sample; the stand-in pool records what the parent holds
@@ -71,16 +88,9 @@ def test_pool_parent_loads_numpy_random_before_the_workers_fork():
         "import sys\n"
         "from randsurf import montecarlo\n"
         "from randsurf.words import canonicalize\n"
-        "class RecordingPool:\n"
-        "    def __init__(self, processes):\n"
-        "        print('numpy.random' in sys.modules)\n"
-        "    def __enter__(self):\n"
-        "        return self\n"
-        "    def __exit__(self, *exc):\n"
-        "        return False\n"
-        "    def starmap(self, fn, args, chunksize=1):\n"
-        "        return [fn(*a) for a in args]\n"
-        "montecarlo.multiprocessing.Pool = RecordingPool\n"
+        + _RECORDING_POOL
+        + "import multiprocessing\n"
+        "multiprocessing.Pool = RecordingPool\n"
         "print('numpy.random' in sys.modules)\n"
         "plan = montecarlo.ExperimentPlan(\n"
         "    half_count=2, classes=(canonicalize('LR'),), samples=montecarlo.CHUNK + 1,\n"
@@ -89,6 +99,92 @@ def test_pool_parent_loads_numpy_random_before_the_workers_fork():
         "montecarlo.run_plan(plan)\n"
     )
     assert _fresh_run(code).split() == ["False", "True"]
+
+
+def test_pool_oracle_and_csv_modules_load_only_in_the_runs_that_use_them():
+    # importing the CLI loads none of multiprocessing, randsurf.exact and csv;
+    # a pooled stats run, an oracle run and a CSV report each load their own.
+    # The real multiprocessing gets the stand-in Pool as it loads, so the
+    # pooled run starts no process.
+    code = (
+        "import importlib.machinery, os, sys\n"
+        + _RECORDING_POOL
+        + "class StandInOnLoad:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name != 'multiprocessing':\n"
+        "            return None\n"
+        "        spec = importlib.machinery.PathFinder.find_spec(name, path)\n"
+        "        load = spec.loader.exec_module\n"
+        "        def exec_module(module):\n"
+        "            load(module)\n"
+        "            module.Pool = RecordingPool\n"
+        "        spec.loader.exec_module = exec_module\n"
+        "        return spec\n"
+        "sys.meta_path.insert(0, StandInOnLoad())\n"
+        "import randsurf.cli\n"
+        "def loaded():\n"
+        "    print(*(m in sys.modules for m in ('multiprocessing', 'randsurf.exact', 'csv')))\n"
+        "def run(*argv):\n"
+        "    randsurf.cli.main([*argv, '--classes', 'LR', '--out', os.devnull])\n"
+        "    loaded()\n"
+        "loaded()\n"
+        "if 'multiprocessing' in sys.modules:\n"
+        "    sys.exit('multiprocessing was loaded before any run')\n"
+        "run('stats', '--n', '2', '--samples', '300', '--workers', '2')\n"
+        "run('oracle', '--n', '1')\n"
+        "run('stats', '--n', '2', '--samples', '3', '--format', 'csv')\n"
+    )
+    assert _fresh_run(code).splitlines() == [
+        "False False False",
+        "True",  # the stand-in pool starts, with numpy.random in the parent
+        "True False False",
+        "True True False",
+        "True True True",
+    ]
+
+
+# each result record: a NamedTuple, with its fields in this order
+RECORDS = {
+    "randsurf.gluing.TopologyReport": (
+        "connected", "component_count", "cusp_count", "euler_characteristic",
+        "total_genus", "cusp_degrees",
+    ),
+    "randsurf.cycles.SpectrumReport": (
+        "half_count", "max_length", "counts", "shortest_geodesic_length",
+    ),
+    "randsurf.bounds.SigmaSet": ("s1", "s2", "s3", "s4"),
+    "randsurf.bounds.BoundReport": (
+        "half_count", "classes", "card", "m_w", "c_w", "sigma", "refined", "main",
+        "exact_refined", "exact_main",
+    ),
+    "randsurf.exact.ExactSystem": (
+        "half_count", "gluing_count", "classes", "joint_law", "exact_means", "exact_mtv",
+    ),
+    "randsurf.montecarlo.ClassSummary": (
+        "word_class", "mean", "mean_se", "variance", "tv_vs_poisson", "tv_se", "max_count",
+    ),
+    "randsurf.montecarlo.PairSummary": ("left", "right", "covariance", "covariance_se"),
+    "randsurf.montecarlo.TopologySummary": (
+        "connected_fraction", "connected_se", "mean_components", "mean_genus",
+        "genus_se", "mean_cusps", "cusps_se",
+    ),
+    "randsurf.montecarlo.StatsReport": (
+        "plan", "per_class", "pairs", "joint_mtv", "joint_mtv_se", "joint_support_size",
+        "bounds", "bounds_note", "topology",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RECORDS))
+def test_result_records_keep_their_fields_and_refuse_assignment(path):
+    module, name = path.rsplit(".", 1)
+    record = getattr(importlib.import_module(module), name)
+    fields = RECORDS[path]
+    assert record._fields == fields
+    value = record._make(range(len(fields)))
+    for attr in (fields[0], fields[-1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
 
 
 def test_commands_run_without_mpmath():
