@@ -92,7 +92,7 @@ class SigmaSet(NamedTuple):
         return SigmaSet(viewer(self.s1), viewer(self.s2), viewer(self.s3), viewer(self.s4))
 
 
-def _word_sigmas(classes: Sequence[WordClass], n: int) -> dict[int, SigmaSet]:
+def _word_sigmas(classes: Sequence[WordClass], n: int, m_w: int) -> dict[int, SigmaSet]:
     """Exact word-level sigma values for each distinct length in W.
 
     p_{k,N} = 1/P_k with P_k = (6N-1)(6N-3)...(6N-2k+1), and every sum
@@ -100,7 +100,6 @@ def _word_sigmas(classes: Sequence[WordClass], n: int) -> dict[int, SigmaSet]:
     q_k = D/P_k is an integer, so every sigma is one integer sum over a
     product of D's and P's.
     """
-    m_w, _ = _check_class_set(classes, n)
     lengths = Counter(c.word_length for c in classes)
     a = [a_k_n(k, n) for k in range(2 * m_w)]
     big_p = list(accumulate((6 * n - 2 * j + 1 for j in range(1, 2 * m_w)), mul, initial=1))
@@ -154,9 +153,9 @@ def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple[int, int]:
     return m_w, c_w
 
 
-def _class_sigmas(classes: Sequence[WordClass], n: int) -> dict[WordClass, SigmaSet]:
+def _class_sigmas(classes: Sequence[WordClass], n: int, m_w: int) -> dict[WordClass, SigmaSet]:
     """Class-level sigma values: sigma1 scales by lam, the rest by lam^2."""
-    word = _word_sigmas(classes, n)
+    word = _word_sigmas(classes, n, m_w)
     out = {}
     for c in classes:
         w, lam = word[c.word_length], c.lam
@@ -169,7 +168,8 @@ def sigma_word_bounds(
 ) -> dict[WordClass, SigmaSet]:
     """Unscaled per-representative sigma values (before the lam factors)."""
     viewer = _viewer(mode)
-    word = _word_sigmas(classes, n)
+    m_w, _ = _check_class_set(classes, n)
+    word = _word_sigmas(classes, n, m_w)
     return {c: word[c.word_length].view(viewer) for c in classes}
 
 
@@ -207,7 +207,8 @@ def _refined(sigma: dict[WordClass, SigmaSet]) -> Fraction:
 def refined_mtv_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     """3 times the sum of all class-level sigma values."""
     viewer = _viewer(mode)
-    return viewer(_refined(_class_sigmas(classes, n)))
+    m_w, _ = _check_class_set(classes, n)
+    return viewer(_refined(_class_sigmas(classes, n, m_w)))
 
 
 def admissible_trace_for_n(n: int, tol) -> int | None:
@@ -269,7 +270,7 @@ _EXACT_LEN_LIMIT = 6
 
 def bound_report(classes: Sequence[WordClass], n: int) -> BoundReport:
     m_w, c_w = _check_class_set(classes, n)
-    sigma = _class_sigmas(classes, n)
+    sigma = _class_sigmas(classes, n, m_w)
     refined = _refined(sigma)
     main = theorem_bound_value(len(classes), m_w, n)
     shown = classes and n <= _EXACT_N_LIMIT and m_w <= _EXACT_LEN_LIMIT

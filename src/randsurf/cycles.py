@@ -23,14 +23,13 @@ Fix(u) the number of fixed points of the step composition along u,
     Z_[w] = |[w]| * sum_{d | k, q | d} phi(k/d) * Fix(w[:d]) / (2k).
 
 For a primitive word only d = k is left, so a class costs one
-fixed-point count.  block_counter is the only counter: built once for
-a gluing count N, a block size and a class tuple, it evaluates the
-formula on whole blocks of gluings, with one matrix product of the
+fixed-point count.  block_counter is the only counter: built and cached
+once per (N, class tuple), it evaluates the formula on whole blocks of
+up to gluing.block_rows(N) gluings, with one matrix product of the
 fixed-point counts and the Burnside weights.  The Monte Carlo and the
-exact oracle count their gluings in blocks of gluing.block_rows(N)
-rows, and count_vector is the one-row call.  The Monte Carlo and
-count_vector share the counters of cached_counter, so neither builds
-one per call.  count_cycles is one count_vector call.
+exact oracle count their gluings in blocks of block_rows(N) rows, and
+count_vector is the one-row call of the same counter, so a loop over
+gluings builds it once.  count_cycles is one count_vector call.
 
 brute_force_counts enumerates all 6N * 2^k raw sequences and dedupes
 them with an explicitly listed orbit per closure.  It is slow, simple
@@ -47,7 +46,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from randsurf.gluing import Gluing, _next_arrays
+from randsurf.gluing import Gluing, _next_arrays, block_rows
 from randsurf.words import (
     WordClass,
     canonicalize,
@@ -86,14 +85,18 @@ def _burnside_terms(canonical: str) -> tuple[tuple[str, int], ...]:
     )
 
 
+@lru_cache(maxsize=8)
 def block_counter(
-    n: int, rows: int, classes: Sequence[WordClass]
+    n: int, classes: tuple[WordClass, ...]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Z_[w] of every row of a partner block, as a (B, C) int64 array.
 
-    The counter takes (B, 6N + 1) blocks of partner rows, 1 <= B <= rows.
-    Its step arrays hold flat slots, b * (6N + 1) + s for label s of row
-    b, so one take composes every row of the block at once.  The
+    Built once per (N, classes); the cache is bounded, since a counter
+    keeps arrays of R = block_rows(N) rows.  It takes (B, 6N + 1) blocks,
+    1 <= B <= R, and refills its arrays on every call, so its callers
+    take turns.  Its step arrays hold flat slots, b * (6N + 1) + s for
+    label s of row b, so one take composes every row of the block at
+    once; every step touches the block's B * (6N + 1) slots only.  The
     prefixes of the classes' words are walked depth first, each one step
     after its parent prefix, so a shared prefix is walked once.  The
     fixed points of the Burnside prefixes w[:d], one count per (prefix,
@@ -101,10 +104,9 @@ def block_counter(
     matrix has a row per distinct prefix and a column per class, and
     each entry is phi(k/d) * |[w]|.
     """
+    rows = block_rows(n)
     width = 6 * n + 1
     size = rows * width
-    if not classes:
-        return lambda block: np.zeros((len(block), 0), dtype=np.int64)
     prefixes: dict[str, int] = {}
     weights = []
     for c, cls in enumerate(classes):
@@ -113,9 +115,9 @@ def block_counter(
                 prefixes[prefix] = len(weights)
                 weights.append([0] * len(classes))
             weights[prefixes[prefix]][c] = weight * cls.class_size
-    weights = np.array(weights, dtype=np.int64)
-    twice_k = np.array([2 * cls.word_length for cls in classes], dtype=np.int64)
     terms = len(prefixes)
+    weights = np.array(weights, dtype=np.int64).reshape(terms, len(classes))
+    twice_k = np.array([2 * cls.word_length for cls in classes], dtype=np.int64)
 
     # The arrays are refilled in place for each block, since fresh ones
     # cost about as much in page faults as the counting.  Depth first,
@@ -126,36 +128,44 @@ def block_counter(
     home = np.arange(size)
     home[::width] = -1
     # each slot's next side after each turn, as a slot of the same row
-    gathers = {turn: base + np.tile(nxt, rows) for turn, nxt in zip("LR", _next_arrays(n))}
+    gathers = [base + np.tile(nxt, rows) for nxt in _next_arrays(n)]
     crossed = np.zeros(size, dtype=np.intp)  # the block's partners as slots
-    steps = dict(zip("LR", np.zeros((2, size), dtype=np.intp)))
-    depth = max(map(len, prefixes))
-    levels = list(np.zeros((depth - 1, size), dtype=np.intp))
-    fixed = np.zeros((terms, size), dtype=bool)
-    # (length - 1, last turn, prefix row or None, target) of every prefix;
-    # a string sorts right after its prefixes and before its siblings
+    steps = np.zeros((2, size), dtype=np.intp)
+    depth = max(map(len, prefixes), default=1)
+    levels = np.zeros((depth - 1, size), dtype=np.intp)
+    fixed = np.zeros(terms * size, dtype=bool)  # laid out (terms, used) per block
+    # (length - 1, last turn, prefix row or None) of every prefix; a
+    # string sorts right after its prefixes and before its siblings
     order = [
-        (len(u) - 1, u[-1], prefixes.get(u), levels[len(u) - 2] if len(u) > 1 else None)
+        (len(u) - 1, "LR".index(u[-1]), prefixes.get(u))
         for u in sorted({u[:j] for u in prefixes for j in range(1, len(u) + 1)})
     ]
 
     def count(block: np.ndarray) -> np.ndarray:
         b = len(block)
+        if not 1 <= b <= rows:
+            raise ValueError(f"a block at N = {n} has 1..{rows} rows, got {b}")
         used = b * width
-        # the rows past a short block keep slots of an earlier block,
-        # which stay in range and are never counted; mode="clip" keeps
-        # take from buffering its output
-        np.add(block.reshape(-1), base[:used], out=crossed[:used])
-        for turn, gather in gathers.items():
-            crossed.take(gather[:used], out=steps[turn][:used], mode="clip")
+        crossed_b = np.add(block.reshape(-1), base[:used], out=crossed[:used])
+        # mode="clip" keeps take from buffering its output; every slot
+        # is in range
+        steps_b = [
+            crossed_b.take(gather[:used], out=step[:used], mode="clip")
+            for gather, step in zip(gathers, steps)
+        ]
+        levels_b = levels[:, :used]
+        home_b = home[:used]
+        fixed_b = fixed[: terms * used].reshape(terms, used)
         walks = [None] * depth  # walks[j]: the current prefix of length j + 1
-        for j, turn, p, target in order:
-            step = steps[turn]
-            walks[j] = step if j == 0 else step.take(walks[j - 1], out=target, mode="clip")
+        for j, turn, p in order:
+            walk = steps_b[turn]
+            if j:
+                walk = walk.take(walks[j - 1], out=levels_b[j - 1], mode="clip")
+            walks[j] = walk
             if p is not None:
-                np.equal(walks[j], home, out=fixed[p])
+                np.equal(walk, home_b, out=fixed_b[p])
         # fixed slot i of prefix p counts for row i // width of block p
-        slots = np.flatnonzero(fixed[:, :used]) // width
+        slots = np.flatnonzero(fixed_b) // width
         counts = np.bincount(slots, minlength=terms * b).reshape(terms, b)
         totals = counts.T @ weights
         out, rest = np.divmod(totals, twice_k)
@@ -170,29 +180,13 @@ def block_counter(
     return count
 
 
-@lru_cache(maxsize=8)
-def cached_counter(
-    n: int, rows: int, classes: tuple[WordClass, ...]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The block_counter of (N, rows, classes), built once per process.
-
-    count_vector takes its one-row counter here and the Monte Carlo its
-    counter of block_rows(N) rows, so a loop over gluings or a run of
-    chunks builds it once; above N = 170 both are the same counter.
-    Bounded, since a counter keeps its arrays: one bool row of
-    rows * (6N + 1) per Burnside prefix, among others.  A counter
-    refills those arrays on every call, so its callers take turns.
-    """
-    return block_counter(n, rows, classes)
-
-
 def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
     """Z_[w] for the requested classes, in the requested order.
 
     The one-row call of block_counter.
     """
     classes = tuple(classes)
-    counts = cached_counter(g.half_count, 1, classes)(g.partner[None])[0]
+    counts = block_counter(g.half_count, classes)(g.partner[None])[0]
     return dict(zip(classes, counts.tolist()))
 
 

@@ -12,8 +12,8 @@ So the law needs only the rooted connected gluings:
   branch that closes with fewer than m triangles open is dropped.  Each
   one stands for (m - 1)! * 3^(m - 1) labelled connected gluings.
 - Its rows are counted in blocks of gluing.block_rows(m / 2) rows by
-  cycles.block_counter, the counter that count_vector and the Monte
-  Carlo use as well.
+  cycles.block_counter(m / 2, classes), cached and shared with
+  count_vector and the Monte Carlo.
 - Counts add over components, so conditioning on the component that
   holds triangle 1 gives the exponential formula
   a_m = sum_j C(m - 1, j - 1) * (c_j conv a_(m - j)) for the count
@@ -112,7 +112,7 @@ def _rooted_connected(m: int) -> Iterator[list[int]]:
 def _connected_law(m: int, classes: tuple[WordClass, ...]) -> Counter:
     """Count vectors of the labelled connected gluings of m triangles, with multiplicity."""
     rows = block_rows(m // 2)
-    count = block_counter(m // 2, rows, classes)
+    count = block_counter(m // 2, classes)
     law: Counter = Counter()
     gluings = _rooted_connected(m)
     while block := list(islice(gluings, rows)):

@@ -5,26 +5,26 @@ seeded by SeedSequence(entropy=seed, spawn_key=(i,)), one
 sample_uniform_gluing call per sample.  The sampler hashes the seeds of
 SEED_BLOCK = 256 consecutive indices at once and builds their partner
 arrays in blocks of gluing.block_rows(N) rows (one at a time above
-N = 170), and a chunk is the same 256 indices.  So a chunk pays for one
-hash pass and two scatters per partner block, besides one shuffle per
-sample.  The only accumulators are histograms of integer outcomes,
-merged in fixed chunk order, and ``summarize`` derives every reported
-sum from them, so results do not depend on chunk scheduling.  Workers
-therefore change wall time, never output.
+N = 170), and a chunk (CHUNK = SEED_BLOCK) is the same 256 indices.
+So a chunk pays for one hash pass and two scatters per partner block,
+besides one shuffle per sample.  The only accumulators are histograms
+of integer outcomes, merged in fixed chunk order, and ``summarize``
+derives every reported sum from them, so results do not depend on
+chunk scheduling.  Workers therefore change wall time, never output.
 
 A chunk of CHUNK samples is counted in blocks of the sampler's
 block_rows(N) rows: 64 samples at N = 10, one sample at N = 1000.  Each
 block's samples are drawn with one sample_uniform_gluing call each, and
-the shared block counter then reads the sampler's cached, read-only
-partner block in place (gluing.sampled_block), with no copy of its
-rows; the counts are tallied in sample order.  The row budget
-keeps a block's arrays small at every N.  Large blocks gain nothing
-there: at N = 1000, counting 32 samples over the trace <= 7 classes
-took 6.4-6.7 ms as one 32-sample block and as 32 one-sample blocks
-alike (2-core Xeon, in process), while each of the counter's arrays
-holds 48 kB per row.  The counter comes from cycles.cached_counter, so
-a process builds it once per run, not once per chunk; a pool parent
-builds none, since it counts nothing.
+the class counter then reads the sampler's cached, read-only partner
+block in place (gluing.sampled_block), with no copy of its rows; the
+counts are tallied in sample order.  The row budget keeps a block's
+arrays small at every N.  Large blocks gain nothing there: at N = 1000,
+counting 32 samples over the trace <= 7 classes took 6.4-6.7 ms as one
+32-sample block and as 32 one-sample blocks alike (2-core Xeon, in
+process), while each of the counter's arrays holds 48 kB per row.  The
+counter is cycles.block_counter(N, classes), cached per process, so a
+process builds it once per run, not once per chunk, and shares it with
+count_vector; a pool parent builds none, since it counts nothing.
 
 With more than one worker the chunks run in a multiprocessing pool.
 run_plan imports multiprocessing in that branch only, so a serial run
@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from randsurf.bounds import BoundReport, bound_report
-from randsurf.cycles import cached_counter
+from randsurf.cycles import block_counter
 from randsurf.dists import (
     empirical_distribution,
     product_poisson_on,
@@ -54,6 +54,7 @@ from randsurf.dists import (
     tv_standard_error,
 )
 from randsurf.gluing import (
+    SEED_BLOCK,
     _generator_from_state,
     block_rows,
     sample_uniform_gluing,
@@ -62,7 +63,9 @@ from randsurf.gluing import (
 )
 from randsurf.words import WordClass
 
-CHUNK = 256  # fixed work unit, deliberately independent of the worker count
+# the fixed work unit, independent of the worker count: every block_rows(N)
+# divides the sampler's seed block, so a chunk starts on a block start at every N
+CHUNK = SEED_BLOCK
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,7 @@ def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
     t = Tallies()
     n = plan.half_count
     rows = block_rows(n)
-    count = cached_counter(n, rows, tuple(plan.classes))
+    count = block_counter(n, tuple(plan.classes))
     for first in range(start, stop, rows):
         indices = range(first, min(first + rows, stop))
         gluings = [sample_uniform_gluing(n, plan.seed, i) for i in indices]

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from randsurf import bounds
 from randsurf.bounds import (
     SigmaSet,
     _class_sigmas,
@@ -93,8 +94,9 @@ def test_unknown_mode_raises(bound):
 
 
 def test_log_mode_is_a_view_of_exact_mode():
-    classes = enumerate_classes_by_trace(6).classes
-    for s in _class_sigmas(classes, 100).values():
+    census = enumerate_classes_by_trace(6)
+    classes = census.classes
+    for s in _class_sigmas(classes, 100, census.max_word_length).values():
         assert s.view(LogNumber).total == LogNumber(s.total)
     assert refined_mtv_bound(classes, 100, mode="log") == LogNumber(
         refined_mtv_bound(classes, 100)
@@ -156,14 +158,15 @@ def test_sigma1_single_length_two_class():
     lr = canonicalize("LR")
     word_level = sigma_word_bounds((lr,), 10, mode="exact")[lr]
     assert word_level.s1 == a_k_n(2, 10) * p_k_n(2, 10) ** 2
-    class_level = _class_sigmas((lr,), 10)[lr]
+    class_level = _class_sigmas((lr,), 10, 2)[lr]
     assert class_level.s1 == lr.lam * word_level.s1
     assert class_level.s2 == lr.lam**2 * word_level.s2
 
 
 def test_sigma_values_positive_and_total():
-    classes = enumerate_classes_by_trace(4).classes
-    sig = _class_sigmas(classes, 25)
+    census = enumerate_classes_by_trace(4)
+    classes = census.classes
+    sig = _class_sigmas(classes, 25, census.max_word_length)
     for s in sig.values():
         assert s.s1 > 0 and s.s2 > 0 and s.s3 > 0 and s.s4 > 0
         assert s.total == s.s1 + s.s2 + s.s3 + s.s4
@@ -201,7 +204,9 @@ def test_refined_scales_like_one_over_n():
 def test_hypothesis_guard():
     classes = enumerate_classes_by_trace(4).classes  # m_W = 3
     with pytest.raises(ValueError):
-        _class_sigmas(classes, 2)
+        refined_mtv_bound(classes, 2)
+    with pytest.raises(ValueError):
+        sigma_word_bounds(classes, 2)
     with pytest.raises(ValueError):
         main_bound(classes, 2)
     with pytest.raises(ValueError):
@@ -211,7 +216,26 @@ def test_hypothesis_guard():
 def test_duplicate_classes_rejected():
     lr = canonicalize("LR")
     with pytest.raises(ValueError):
-        _class_sigmas((lr, lr), 10)
+        refined_mtv_bound((lr, lr), 10)
+    with pytest.raises(ValueError):
+        sigma_word_bounds((lr, lr), 10)
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [bound_report, sigma_word_bounds, refined_mtv_bound, main_bound, simplified_sigma_bounds],
+)
+def test_each_public_bound_validates_its_class_set_once(bound, monkeypatch):
+    calls = []
+    check = bounds._check_class_set
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(bounds, "_check_class_set", counting)
+    bound(enumerate_classes_by_trace(5).classes, 10)
+    assert len(calls) == 1
 
 
 def test_admissible_trace_examples():

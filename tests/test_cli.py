@@ -192,7 +192,7 @@ def test_bound_strings_are_correctly_rounded(tmp_path, n, trace):
         "main": theorem_bound_value(len(classes), m_w, n),
     }
     views = {"refined": payload["refined"], "main": payload["main"]}
-    for c, s in _class_sigmas(classes, n).items():
+    for c, s in _class_sigmas(classes, n, m_w).items():
         record = payload["per_class_sigma"][c.canonical]
         values = {"sigma1": s.s1, "sigma2": s.s2, "sigma3": s.s3, "sigma4": s.s4}
         for key, value in [*values.items(), ("total", s.total)]:

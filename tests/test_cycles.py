@@ -14,7 +14,7 @@ from randsurf.cycles import (
     count_vector,
 )
 from randsurf.exact import enumerate_all_gluings
-from randsurf.gluing import Gluing, sample_uniform_gluing
+from randsurf.gluing import Gluing, block_rows, sample_uniform_gluing
 from randsurf.words import (
     canonicalize,
     enumerate_classes_by_length,
@@ -160,7 +160,7 @@ def test_step_arrays_are_built_once_per_gluing():
     want = [list(count_vector(g, classes).values()) for g in gluings]
     block = np.stack([g.partner for g in gluings]).view(_CountedReads)
     _CountedReads.reads = 0
-    assert cycles.block_counter(10, 3, classes)(block).tolist() == want
+    assert cycles.block_counter(10, classes)(block).tolist() == want
     # the block is read once, into the slots both step arrays gather
     # from, whatever the classes
     assert _CountedReads.reads == 1
@@ -169,7 +169,7 @@ def test_step_arrays_are_built_once_per_gluing():
 def test_no_classes_count_to_empty_rows(torus_gluing):
     assert count_vector(torus_gluing, []) == {}
     block = np.stack([torus_gluing.partner] * 3)
-    assert cycles.block_counter(1, 4, [])(block).shape == (3, 0)
+    assert cycles.block_counter(1, ())(block).shape == (3, 0)
 
 
 def test_count_vector_handles_non_primitive_classes(torus_gluing):
@@ -188,22 +188,28 @@ def test_count_vector_preserves_order_and_fills_zeros():
         assert vec[c] == full.get(c, 0)
 
 
-def test_count_vector_builds_one_counter_per_class_tuple(monkeypatch):
-    built = []
-    original = cycles.block_counter
-
-    def counting(*args):
-        built.append(args[:2])
-        return original(*args)
-
-    monkeypatch.setattr(cycles, "block_counter", counting)
-    cycles.cached_counter.cache_clear()
+def test_count_vector_builds_one_counter_per_class_tuple():
+    cycles.block_counter.cache_clear()
     classes = [canonicalize(w) for w in ("LR", "LLR", "LRLR")]
     gluings = [sample_uniform_gluing(5, seed=23, index=i) for i in range(4)]
     got = [count_vector(g, classes) for g in gluings]
-    assert built == [(5, 1)]
+    info = cycles.block_counter.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
     for g, vec in zip(gluings, got):
         counts = brute_force_counts(g, 4)
         assert vec == {c: counts.get(c, 0) for c in classes}
     count_vector(gluings[0], classes[:2])
-    assert built == [(5, 1), (5, 1)]
+    assert cycles.block_counter.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_blocks_outside_one_to_block_rows_rows_raise(n):
+    classes = (canonicalize("LR"), canonicalize("LLR"))
+    count = cycles.block_counter(n, classes)
+    rows = block_rows(n)
+    g = sample_uniform_gluing(n, seed=5, index=0)
+    want = list(count_vector(g, classes).values())
+    assert count(np.stack([g.partner] * rows)).tolist() == [want] * rows
+    for bad in (0, rows + 1):
+        with pytest.raises(ValueError, match=f"has 1..{rows} rows, got {bad}"):
+            count(np.zeros((bad, 6 * n + 1), dtype=np.int64))

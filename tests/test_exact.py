@@ -15,7 +15,7 @@ from randsurf.exact import (
     exact_joint_distribution,
     matching_count,
 )
-from randsurf.gluing import Gluing, next_side, topology, triangle_of
+from randsurf.gluing import Gluing, block_rows, next_side, topology, triangle_of
 from randsurf.words import canonicalize, enumerate_classes_by_length
 
 # every class of length <= 6, proper powers (LL, LRLR, LLLL, LRLRLR, ...) included
@@ -59,6 +59,12 @@ def _stacked(n):
     return np.stack([g.partner for g in enumerate_all_gluings(n)])
 
 
+def _blocks(rows, n):
+    # slices of block_rows(n) rows, the last one short if rows do not divide
+    size = block_rows(n)
+    return [rows[i : i + size] for i in range(0, len(rows), size)]
+
+
 def _brute_force_row(g, classes):
     ref = brute_force_counts(g, max(c.word_length for c in classes))
     return [ref.get(c, 0) for c in classes]
@@ -66,20 +72,21 @@ def _brute_force_row(g, classes):
 
 def test_block_counts_equal_brute_force_on_every_n1_gluing():
     block = _stacked(1)
-    got = block_counter(1, len(block), ALL_TO_SIX)(block)
+    got = block_counter(1, ALL_TO_SIX)(block)
     want = [_brute_force_row(g, ALL_TO_SIX) for g in enumerate_all_gluings(1)]
     assert got.tolist() == want
 
 
 def test_block_counts_equal_brute_force_on_sampled_n2_gluings():
-    rows = _stacked(2)
-    blocks = [rows[i : i + 945] for i in range(0, len(rows), 945)]
-    count = block_counter(2, 945, ALL_TO_SIX)
+    blocks = _blocks(_stacked(2), 2)
+    assert [len(b) for b in blocks] == [256] * 40 + [155]
+    count = block_counter(2, ALL_TO_SIX)
     rng = random.Random(11)
     for index in (0, 5, len(blocks) - 1):
         block = blocks[index]
         got = count(block)
-        for row in {0, 944, *rng.sample(range(1, 944), 6)}:
+        last = len(block) - 1
+        for row in {0, last, *rng.sample(range(1, last), 6)}:
             g = Gluing(2, block[row])
             assert got[row].tolist() == _brute_force_row(g, ALL_TO_SIX), (index, row)
 
@@ -87,9 +94,8 @@ def test_block_counts_equal_brute_force_on_sampled_n2_gluings():
 @pytest.mark.parametrize("n", [1, 2])
 def test_block_counts_equal_count_vector_on_every_small_gluing(n):
     # whole blocks against one-row calls of the same counter: rows never mix
-    rows = _stacked(n)
-    count = block_counter(n, 945, ALL_TO_SIX)
-    got = np.concatenate([count(rows[i : i + 945]) for i in range(0, len(rows), 945)])
+    count = block_counter(n, ALL_TO_SIX)
+    got = np.concatenate([count(block) for block in _blocks(_stacked(n), n)])
     want = [list(count_vector(g, ALL_TO_SIX).values()) for g in enumerate_all_gluings(n)]
     assert got.tolist() == want
 
@@ -98,18 +104,20 @@ def test_block_counts_equal_count_vector_on_sampled_n3_blocks():
     # every rooted connected gluing of 6 triangles, an N = 3 gluing each
     block = np.array(list(_rooted_connected(6)))
     assert block.shape == (1105, 19)
-    got = block_counter(3, len(block), ALL_TO_SIX)(block)
+    count = block_counter(3, ALL_TO_SIX)
+    got = np.concatenate([count(part) for part in _blocks(block, 3)])
     want = [list(count_vector(Gluing(3, p), ALL_TO_SIX).values()) for p in block]
     assert got.tolist() == want
 
 
 def test_short_blocks_count_only_their_own_rows():
     rows = _stacked(2)
-    count = block_counter(2, 945, ALL_TO_SIX)
-    full = count(rows[3 * 945 : 4 * 945])
-    count(rows[4 * 945 : 5 * 945])  # leaves other rows behind in the counter's arrays
-    assert count(rows[3 * 945 : 3 * 945 + 17]).tolist() == full[:17].tolist()
-    assert count(rows[4 * 945 - 1 : 4 * 945]).tolist() == full[-1:].tolist()
+    size = block_rows(2)
+    count = block_counter(2, ALL_TO_SIX)
+    full = count(rows[3 * size : 4 * size])
+    count(rows[4 * size : 5 * size])  # leaves other rows behind in the counter's arrays
+    assert count(rows[3 * size : 3 * size + 17]).tolist() == full[:17].tolist()
+    assert count(rows[4 * size - 1 : 4 * size]).tolist() == full[-1:].tolist()
 
 
 def test_indivisible_block_sum_raises(lr):
@@ -117,10 +125,25 @@ def test_indivisible_block_sum_raises(lr):
     # sum of [LR] is 0 or 6 fixed points, and 6 is not divisible by 4
     wrong = replace(lr, class_size=1)
     block = _stacked(1)
-    with pytest.raises(ArithmeticError, match="not divisible by 4"):
-        block_counter(1, len(block), [wrong])(block)
-    with pytest.raises(ArithmeticError):
-        exact_joint_distribution([wrong], 1)
+    # wrong == lr, as class equality ignores the size, so the two share a
+    # cached counter: clear it before, and after, lest later [LR] counts raise
+    block_counter.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="not divisible by 4"):
+            block_counter(1, (wrong,))(block)
+        with pytest.raises(ArithmeticError):
+            exact_joint_distribution([wrong], 1)
+    finally:
+        block_counter.cache_clear()
+
+
+def test_a_repeated_oracle_run_builds_no_counter(lr, llr):
+    block_counter.cache_clear()
+    first = exact_joint_distribution([lr, llr], 2)
+    built = block_counter.cache_info().misses
+    assert built == 2  # one counter for each component size, N = 1 and N = 2
+    assert exact_joint_distribution([lr, llr], 2) == first
+    assert block_counter.cache_info().misses == built
 
 
 def test_rooted_connected_gluings_add_up_to_every_gluing(lr):

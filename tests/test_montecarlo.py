@@ -125,26 +125,37 @@ def test_a_chunk_hashes_its_seeds_once_and_shuffles_each_row_once(monkeypatch, l
     assert shuffled == [60] * CHUNK
 
 
-def test_a_run_builds_its_counter_once_and_keeps_one_partner_block(monkeypatch, lr):
+def test_a_run_builds_its_counter_once_and_keeps_one_partner_block(lr):
     # three chunks of 64-row blocks at N = 10 share one counter, and the
     # sampler keeps only the block being read
-    built = []
-    original = cycles.block_counter
-
-    def counting(*args):
-        built.append(args[:2])
-        return original(*args)
-
-    monkeypatch.setattr(cycles, "block_counter", counting)
-    cycles.cached_counter.cache_clear()
+    cycles.block_counter.cache_clear()
     plan = ExperimentPlan(
         half_count=10, classes=(lr,), samples=3 * CHUNK, seed=6, with_topology=False
     )
     assert sum(run_plan(plan).joint.values()) == 3 * CHUNK
-    assert built == [(10, 64)]
+    info = cycles.block_counter.cache_info()
+    assert (info.misses, info.hits) == (1, 2)  # one lookup per chunk
     assert gluing._partner_block.cache_info().currsize == 1
     run_plan(plan)
-    assert built == [(10, 64)]
+    assert cycles.block_counter.cache_info().misses == 1
+
+
+def test_count_vector_reuses_the_counter_of_a_run(lr, llr):
+    # the Monte Carlo and count_vector share the counter of (N, classes)
+    classes = (lr, llr)
+    plan = ExperimentPlan(
+        half_count=10, classes=classes, samples=70, seed=2, with_topology=False
+    )
+    tallies = run_plan(plan)
+    misses = cycles.block_counter.cache_info().misses
+    g = sample_uniform_gluing(10, 2, 0)
+    vec = tuple(count_vector(g, classes).values())
+    assert cycles.block_counter.cache_info().misses == misses
+    assert vec in tallies.joint
+
+
+def test_every_chunk_starts_on_a_block_start():
+    assert all(CHUNK % block_rows(n) == 0 for n in range(1, 201))
 
 
 def test_worker_counts_agree_even_mid_chunk(lr):
