@@ -37,7 +37,6 @@ from randsurf.words import (
     canonicalize,
     enumerate_classes_by_length,
     enumerate_classes_by_trace,
-    hyperbolic_length,
 )
 
 SCHEMA_VERSION = 1
@@ -65,7 +64,6 @@ def _lognum(x: LogNumber) -> dict:
 
 
 def _class_record(c: WordClass) -> dict:
-    geo, parabolic = hyperbolic_length(c.canonical)
     return {
         "word": c.canonical,
         "word_length": c.word_length,
@@ -75,7 +73,7 @@ def _class_record(c: WordClass) -> dict:
         "lambda": _dec(c.lam),
         "primitive": c.primitive,
         "parabolic": c.parabolic,
-        "geodesic_length": None if parabolic else _dec(geo),
+        "geodesic_length": None if c.parabolic else _dec(c.length),
         "mirror_word": c.mirror_class().canonical,
     }
 

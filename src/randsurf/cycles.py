@@ -25,8 +25,8 @@ Fix(u) the number of fixed points of the step composition along u,
 For a primitive word only d = k is left, so a class costs one
 fixed-point count.  block_counter is the only counter: built and cached
 once per (N, class tuple), it evaluates the formula on whole blocks of
-up to gluing.block_rows(N) gluings, with one matrix product of the
-fixed-point counts and the Burnside weights.  The Monte Carlo and the
+up to gluing.block_rows(N) gluings, summing each class's nonzero
+Burnside terms, fixed-point count times weight.  The Monte Carlo and the
 exact oracle count their gluings in blocks of block_rows(N) rows, and
 count_vector is the one-row call of the same counter, so a loop over
 gluings builds it once.  count_cycles is one count_vector call.
@@ -99,24 +99,28 @@ def block_counter(
     once; every step touches the block's B * (6N + 1) slots only.  The
     prefixes of the classes' words are walked depth first, each one step
     after its parent prefix, so a shared prefix is walked once.  The
-    fixed points of the Burnside prefixes w[:d], one count per (prefix,
-    row), meet the Burnside weights in one matrix product: the weight
-    matrix has a row per distinct prefix and a column per class, and
-    each entry is phi(k/d) * |[w]|.
+    fixed points of the Burnside prefixes w[:d] give one count per
+    (prefix, row).  Only the nonzero terms are kept, one (prefix, class,
+    weight phi(k/d) * |[w]|) each, about one per class; a class's total
+    is the sum of its terms' counts times weights, so no table of
+    prefixes by classes is built, whatever the class set.
     """
     rows = block_rows(n)
     width = 6 * n + 1
     size = rows * width
+    # the nonzero Burnside terms, class by class: the row of the term's
+    # prefix, and its weight; starts[c] is the first term of class c
     prefixes: dict[str, int] = {}
-    weights = []
-    for c, cls in enumerate(classes):
+    term_prefixes, term_weights, starts = [], [], []
+    for cls in classes:
+        starts.append(len(term_prefixes))
         for prefix, weight in _burnside_terms(cls.canonical):
-            if prefix not in prefixes:
-                prefixes[prefix] = len(weights)
-                weights.append([0] * len(classes))
-            weights[prefixes[prefix]][c] = weight * cls.class_size
+            term_prefixes.append(prefixes.setdefault(prefix, len(prefixes)))
+            term_weights.append(weight * cls.class_size)
     terms = len(prefixes)
-    weights = np.array(weights, dtype=np.int64).reshape(terms, len(classes))
+    term_prefixes = np.array(term_prefixes, dtype=np.intp)
+    term_weights = np.array(term_weights, dtype=np.int64)[:, None]
+    starts = np.array(starts, dtype=np.intp)
     twice_k = np.array([2 * cls.word_length for cls in classes], dtype=np.int64)
 
     # The arrays are refilled in place for each block, since fresh ones
@@ -167,7 +171,8 @@ def block_counter(
         # fixed slot i of prefix p counts for row i // width of block p
         slots = np.flatnonzero(fixed_b) // width
         counts = np.bincount(slots, minlength=terms * b).reshape(terms, b)
-        totals = counts.T @ weights
+        # every class has its d = k term, so no class's run of terms is empty
+        totals = np.add.reduceat(counts[term_prefixes] * term_weights, starts).T
         out, rest = np.divmod(totals, twice_k)
         if np.count_nonzero(rest):
             row, c = np.argwhere(rest)[0]

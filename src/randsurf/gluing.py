@@ -14,9 +14,10 @@ a dummy slot 0 mapped to itself.
 
 Sample i of a seed pairs off consecutive entries of permutation(6N)
 drawn from PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(i,)).
-No SeedSequence is built, and the streams are the same bit for bit:
-the sampler runs numpy's SeedSequence hash on whole blocks of
-SEED_BLOCK = 256 spawn keys, and builds the partner arrays of
+No SeedSequence is built per sample, and the streams are the same bit
+for bit: the sampler takes the pool of one SeedSequence(seed), mixes
+the spawn keys of a whole block of SEED_BLOCK = 256 indices into it in
+uint32 array arithmetic, and builds the partner arrays of
 block_rows(N) consecutive samples at once, with one Generator.shuffle
 per sample and two scatters per block.  block_rows is the one rule for
 a block's size: the Monte Carlo and the exact oracle feed the class
@@ -137,80 +138,57 @@ SEED_BLOCK = 256  # spawn keys seeded in one pass; a power of two <= 2^32
 
 # numpy's SeedSequence: a pool of 4 uint32 words and its hash constants
 _POOL = 4
-_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(value: int) -> list[int]:
-    """A nonnegative int as little-endian 32-bit words, as SeedSequence reads it."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _uint32_words(value: int) -> np.ndarray:
+    """A nonnegative int as little-endian uint32 words, as SeedSequence reads it."""
+    size = max(1, -(-value.bit_length() // 32))
+    return np.frombuffer(value.to_bytes(4 * size, "little"), dtype="<u4")
 
 
-def _mix(x, y):
-    r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
-    return r ^ r >> 16
+def _hashmix(values: np.ndarray, init: int, mult: int, step: int) -> np.ndarray:
+    """numpy's SeedSequence hashmix of the rows of values, one hash step each.
 
-
-def _hashed_state(seed: int, spawn: list) -> np.ndarray:
-    """SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(4, np.uint64).
-
-    spawn holds the 32-bit words of the key.  Each hashed word is a
-    Python int or a uint32 array with a value per key, and every
-    product is masked to 32 bits, so ints and arrays wrap alike and no
-    numpy scalar ever overflows.  The run entropy is padded with zeros
-    to the pool size, as it is whenever a spawn key is given, so it
-    fills the pool alone and mixes as ints; a varying low word of the
-    key makes the pool an array, and the result then has one row per
-    key.
+    Row i is hashed with the constant init * mult^(step + i), which then
+    steps to init * mult^(step + i + 1); uint32 arrays wrap as the C
+    hash does.
     """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    run = _uint32_words(seed)
-    run += [0] * (_POOL - len(run))
-    pool = [hashmix(word) for word in run[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in run[_POOL:] + spawn:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    const = _INIT_B
-    state = []
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        state.append(value ^ value >> 16)
-    # word pairs read as little-endian uint64, as generate_state does
-    return np.stack(state, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    steps = np.arange(step, step + len(values) + 1, dtype=np.uint32)
+    const = init * np.power(np.uint32(mult), steps)[:, None]
+    out = (values ^ const[:-1]) * const[1:]
+    return out ^ out >> 16
 
 
 @lru_cache(maxsize=4)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """PCG64 state words of the spawn keys of one block, as (SEED_BLOCK, 4) uint64.
 
-    Row r is the state of index block * SEED_BLOCK + r: the hash run
-    once for the whole block.  A block never straddles a multiple of
-    2^32, so its keys share a word count.  Cached and shared, hence
-    read-only.
+    Row r is SeedSequence(seed, spawn_key=(k,)).generate_state(4,
+    np.uint64) for k = block * SEED_BLOCK + r.  A spawn key only appends
+    words to the seed's, padded with zero words to the pool size, and
+    SeedSequence(seed) hashes the same zeros into its pool: that pool
+    has already mixed the seed, after 4 * max(4, seed words) hash steps.
+    The key's words are mixed into every pool word from there, and the
+    8 state words drawn, for the whole block at once.  A block never straddles a multiple of 2^32, so its
+    keys share their high words.  Cached and shared, hence read-only.
     """
-    low, *high = _uint32_words(block * SEED_BLOCK)
-    words = _hashed_state(seed, [np.arange(low, low + SEED_BLOCK, dtype=np.uint32), *high])
+    from numpy.random import SeedSequence
+
+    # one row per key word; only the low word varies along a block
+    keys = np.repeat(_uint32_words(block * SEED_BLOCK)[:, None], SEED_BLOCK, axis=1)
+    keys[0] += np.arange(SEED_BLOCK, dtype=np.uint32)
+    step = _POOL * max(_POOL, len(_uint32_words(seed)))
+    hashed = _hashmix(np.repeat(keys, _POOL, axis=0), _INIT_A, _MULT_A, step)
+    pool = SeedSequence(seed).pool[:, None]
+    for word in hashed.reshape(-1, _POOL, SEED_BLOCK):
+        pool = pool * _MIX_MULT_L - word * _MIX_MULT_R
+        pool ^= pool >> 16
+    state = _hashmix(np.tile(pool, (2, 1)), _INIT_B, _MULT_B, 0)
+    # word pairs read as little-endian uint64, as generate_state does
+    words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
     words.setflags(write=False)
     return words
 
@@ -303,6 +281,15 @@ def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
     return partner
 
 
+def _checked_key(n: int, seed: int, index: int) -> tuple[int, int]:
+    """(seed, index) as ints, for a valid N and nonnegative seed and index."""
+    _check_half_count(n)
+    seed, index = operator.index(seed), operator.index(index)
+    if seed < 0 or index < 0:
+        raise ValueError("seed and index must be nonnegative integers")
+    return seed, index
+
+
 def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     """Uniform gluing from the stream determined by (seed, index).
 
@@ -313,18 +300,15 @@ def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     serial loop or inside a worker, which is what makes parallel runs
     reproducible.
 
-    No SeedSequence is built, and the stream is the same bit for bit.
-    The partner array is row index mod R of the cached (R, 6N + 1)
-    block from _partner_block, with R = block_rows(N); its rows' state
-    words come from _seed_block, hashed for SEED_BLOCK indices at once.
-    Every row costs one Generator.shuffle.  The partner array is int64
-    and read-only.
+    No SeedSequence is built per sample, and the stream is the same bit
+    for bit.  The partner array is row index mod R of the cached
+    (R, 6N + 1) block from _partner_block, with R = block_rows(N); its
+    rows' state words come from _seed_block, which builds one
+    SeedSequence(seed) and mixes the spawn keys of SEED_BLOCK indices
+    into its pool at once.  Every row costs one Generator.shuffle.  The
+    partner array is int64 and read-only.
     """
-    _check_half_count(n)
-    # Python ints, so that the hash's products never meet a numpy scalar
-    seed, index = operator.index(seed), operator.index(index)
-    if seed < 0 or index < 0:
-        raise ValueError("seed and index must be nonnegative integers")
+    seed, index = _checked_key(n, seed, index)
     block, row = divmod(index, block_rows(n))
     return Gluing._trusted(n, _partner_block(n, seed, block)[row])
 
@@ -336,8 +320,10 @@ def sampled_block(n: int, seed: int, index: int) -> np.ndarray:
     for the R = block_rows(N) indices i from index rounded down to a
     multiple of R.  For callers that sample those indices and count them
     as one block: the block comes from _partner_block's cache, so it is
-    built once, by whichever call reaches it first.
+    built once, by whichever call reaches it first.  The arguments are
+    checked as sample_uniform_gluing checks them.
     """
+    seed, index = _checked_key(n, seed, index)
     return _partner_block(n, seed, index // block_rows(n))
 
 

@@ -2,12 +2,13 @@
 
 Sample i is always drawn from the stream keyed by (seed, i): PCG64
 seeded by SeedSequence(entropy=seed, spawn_key=(i,)), one
-sample_uniform_gluing call per sample.  The sampler hashes the seeds of
-SEED_BLOCK = 256 consecutive indices at once and builds their partner
-arrays in blocks of gluing.block_rows(N) rows (one at a time above
-N = 170), and a chunk (CHUNK = SEED_BLOCK) is the same 256 indices.
-So a chunk pays for one hash pass and two scatters per partner block,
-besides one shuffle per sample.  The only accumulators are histograms
+sample_uniform_gluing call per sample.  The sampler mixes the spawn
+keys of SEED_BLOCK = 256 consecutive indices into the pool of one
+SeedSequence(seed) at once and builds their partner arrays in blocks of
+gluing.block_rows(N) rows (one at a time above N = 170), and a chunk
+(CHUNK = SEED_BLOCK) is the same 256 indices.  So a chunk pays for one
+SeedSequence and one hash pass, two scatters per partner block, and one
+shuffle per sample.  The only accumulators are histograms
 of integer outcomes, merged in fixed chunk order, and ``summarize``
 derives every reported sum from them, so results do not depend on
 chunk scheduling.  Workers therefore change wall time, never output.

@@ -139,12 +139,17 @@ class WordClass:
     class_size   number of distinct orbit members
     lam          class_size / (2 * word_length), the Poisson rate of
                  the class in the large-N limit
+
+    Equality and hashing cover every field but lam, which the others
+    determine, so a class built with a wrong size or trace is not the
+    class of its word.  Sorting is by (word_length, canonical), which
+    no two classes share.
     """
 
     word_length: int
     canonical: str
-    class_size: int = field(compare=False)
-    trace: int = field(compare=False)
+    class_size: int
+    trace: int
     lam: Fraction = field(compare=False)
 
     @property

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,34 @@ def test_indivisible_burnside_sum_raises(torus_gluing):
     wrong = replace(canonicalize("LR"), class_size=1)
     with pytest.raises(ArithmeticError, match="not divisible by 4"):
         count_vector(torus_gluing, [wrong])
+
+
+def test_a_class_with_a_wrong_size_or_trace_gets_its_own_counter(torus_gluing):
+    lr = canonicalize("LR")
+    assert count_vector(torus_gluing, [lr]) == {lr: 3}  # caches the counter of [LR]
+    for wrong in (replace(lr, class_size=1), replace(lr, trace=2)):
+        assert wrong != lr
+        assert len({wrong, lr}) == 2
+        assert cycles.block_counter(1, (wrong,)) is not cycles.block_counter(1, (lr,))
+    with pytest.raises(ArithmeticError, match="not divisible by 4"):
+        count_vector(torus_gluing, [replace(lr, class_size=1)])
+
+
+def test_sixteen_step_cycles_on_the_torus_peak_under_32_mb(torus_gluing):
+    # the counter keeps the 4687 nonzero Burnside terms of the 4589 classes
+    # of length <= 16, not a dense table of prefixes by classes
+    enumerate_classes_by_length(16)  # the classes are not the counter's memory
+    cycles.block_counter.cache_clear()
+    tracemalloc.start()
+    try:
+        report = count_cycles(torus_gluing, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        cycles.block_counter.cache_clear()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    short = {c: k for c, k in report.counts.items() if c.word_length <= 10}
+    assert short == brute_force_counts(torus_gluing, 10)
 
 
 class _CountedReads(np.ndarray):

@@ -125,16 +125,10 @@ def test_indivisible_block_sum_raises(lr):
     # sum of [LR] is 0 or 6 fixed points, and 6 is not divisible by 4
     wrong = replace(lr, class_size=1)
     block = _stacked(1)
-    # wrong == lr, as class equality ignores the size, so the two share a
-    # cached counter: clear it before, and after, lest later [LR] counts raise
-    block_counter.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="not divisible by 4"):
-            block_counter(1, (wrong,))(block)
-        with pytest.raises(ArithmeticError):
-            exact_joint_distribution([wrong], 1)
-    finally:
-        block_counter.cache_clear()
+    with pytest.raises(ArithmeticError, match="not divisible by 4"):
+        block_counter(1, (wrong,))(block)
+    with pytest.raises(ArithmeticError):
+        exact_joint_distribution([wrong], 1)
 
 
 def test_a_repeated_oracle_run_builds_no_counter(lr, llr):

@@ -13,13 +13,12 @@ from randsurf.gluing import (
     SEED_BLOCK,
     Gluing,
     TopologyReport,
-    _hashed_state,
     _next_arrays,
     _seed_block,
-    _uint32_words,
     block_rows,
     next_side,
     sample_uniform_gluing,
+    sampled_block,
     step,
     topology,
     triangle_of,
@@ -223,28 +222,39 @@ def test_sampled_partners_are_valid_gluings(monkeypatch, n):
 
 
 def test_sampling_guards():
-    with pytest.raises(ValueError):
-        sample_uniform_gluing(0, seed=1, index=0)
-    with pytest.raises(ValueError):
-        sample_uniform_gluing(1, seed=-1, index=0)
-    with pytest.raises(ValueError):
-        sample_uniform_gluing(1, seed=1, index=-1)
+    # a sample and the block that holds it take the same arguments
+    bad = [(0, 1, 0), (1, -1, 0), (1, 1, -1), (10, 0, -5), (10, -3, 0), (0, 0, 0)]
+    for sample in (sample_uniform_gluing, sampled_block):
+        for n, seed, index in bad:
+            with pytest.raises(ValueError):
+                sample(n, seed, index)
 
 
-# 2^128 + 1 has five run words, more than the pool holds, so no padding;
-# indices from 2^32 on have a two-word spawn key
-@pytest.mark.parametrize("seed", [0, 1, 97, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+# the pool has 4 words: 2^96 + 7 fills it exactly, and 2^128 + 1 and
+# 2^200 + 3 have five and seven seed words, mixed in after the pool's
+# set-up; indices from 2^32 on have a two-word spawn key
+@pytest.mark.parametrize(
+    "seed", [0, 1, 97, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7, 2**128 + 1, 2**200 + 3]
+)
 @pytest.mark.parametrize("index", [0, 255, 256, 2**32 - 1, 2**32, 2**32 + 300])
 def test_seed_block_rows_equal_seed_sequence_state(seed, index):
     block, row = divmod(index, SEED_BLOCK)
     want = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)
-    for got in (_seed_block(seed, block)[row], _hashed_state(seed, _uint32_words(index))):
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, want)
+    got = _seed_block(seed, block)[row]
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
 
 
 def test_seed_blocks_equal_seed_sequence_state_on_every_row():
-    for seed, block in ((0, 0), (97, 3), (2**64 + 5, 2**24 - 1), (2**32, 2**24)):
+    cases = (
+        (0, 0),
+        (97, 3),
+        (2**64 + 5, 2**24 - 1),
+        (2**32, 2**24),
+        (2**96 + 7, 5),
+        (2**200 + 3, 2**24 + 5),
+    )
+    for seed, block in cases:
         want = [
             np.random.SeedSequence(seed, spawn_key=(block * SEED_BLOCK + r,))
             .generate_state(4, np.uint64)

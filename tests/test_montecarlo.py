@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from randsurf import cycles, gluing
@@ -97,15 +98,16 @@ def test_blocked_tallies_equal_a_per_sample_brute_force_loop(n, samples, rows):
 
 def test_a_chunk_hashes_its_seeds_once_and_shuffles_each_row_once(monkeypatch, lr):
     # the sampler's blocks are the counter's blocks: 256 samples at N = 10
-    # are four 64-row partner blocks from one hashed seed block
+    # are four 64-row partner blocks from one seed block, whose state words
+    # come from one SeedSequence(seed)
     gluing._seed_block.cache_clear()
     gluing._partner_block.cache_clear()
-    hashes, shuffled = [], []
-    real_hash, make = gluing._hashed_state, gluing._generator_from_state()
+    built, shuffled = [], []
+    real_seed_sequence, make = np.random.SeedSequence, gluing._generator_from_state()
 
-    def counting_hash(*args):
-        hashes.append(args)
-        return real_hash(*args)
+    def counting_seed_sequence(*args, **kwargs):
+        built.append((args, kwargs))
+        return real_seed_sequence(*args, **kwargs)
 
     class CountingGenerator:
         def __init__(self, words):
@@ -115,13 +117,13 @@ def test_a_chunk_hashes_its_seeds_once_and_shuffles_each_row_once(monkeypatch, l
             shuffled.append(len(row))
             self.generator.shuffle(row)
 
-    monkeypatch.setattr(gluing, "_hashed_state", counting_hash)
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
     monkeypatch.setattr(gluing, "_generator_from_state", lambda: CountingGenerator)
     plan = ExperimentPlan(
         half_count=10, classes=(lr,), samples=CHUNK, seed=4, with_topology=False
     )
     assert sum(run_plan(plan).joint.values()) == CHUNK
-    assert len(hashes) == 1
+    assert built == [((4,), {})]
     assert shuffled == [60] * CHUNK
 
 

@@ -222,18 +222,26 @@ def test_numpy_is_the_only_third_party_import_and_dependency():
     assert names == third_party
 
 
-def test_no_seed_sequence_is_built_in_the_package():
-    # the sampler hashes whole blocks of spawn keys; the per-sample
-    # SeedSequence and default_rng path lives only in the tests
+def _called_name(call: ast.Call) -> str | None:
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def test_no_sample_builds_its_own_seed_sequence_in_the_package():
+    # the sampler mixes whole blocks of spawn keys into the pool of one
+    # SeedSequence(seed); the per-sample SeedSequence and default_rng path
+    # lives only in the tests
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None))
-        in ("SeedSequence", "default_rng")
+        and (
+            _called_name(node) in ("default_rng", "spawn")
+            or _called_name(node) == "SeedSequence"
+            and any(kw.arg in ("spawn_key", None) for kw in node.keywords)
+        )
     ]
-    assert not calls, f"seed sequences built in the package: {calls}"
+    assert not calls, f"per-sample seed sequences built in the package: {calls}"
 
 
 def test_side_budget_is_read_only_by_block_rows():
