@@ -91,19 +91,19 @@ def block_counter(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Z_[w] of every row of a partner block, as a (B, C) int64 array.
 
-    Built once per (N, classes); the cache is bounded, since a counter
-    keeps arrays of R = block_rows(N) rows.  It takes (B, 6N + 1) blocks,
-    1 <= B <= R, and refills its arrays on every call, so its callers
-    take turns.  Its step arrays hold flat slots, b * (6N + 1) + s for
-    label s of row b, so one take composes every row of the block at
-    once; every step touches the block's B * (6N + 1) slots only.  The
-    prefixes of the classes' words are walked depth first, each one step
-    after its parent prefix, so a shared prefix is walked once.  The
-    fixed points of the Burnside prefixes w[:d] give one count per
-    (prefix, row).  Only the nonzero terms are kept, one (prefix, class,
-    weight phi(k/d) * |[w]|) each, about one per class; a class's total
-    is the sum of its terms' counts times weights, so no table of
-    prefixes by classes is built, whatever the class set.
+    Built once per (N, classes), it keeps read-only tables only: slot
+    tables for R = block_rows(N) rows and the Burnside terms.  A call
+    takes a (B, 6N + 1) block, 1 <= B <= R, and allocates its own work
+    arrays for B rows, so calls share no mutable state.  Its step arrays
+    hold flat slots, b * (6N + 1) + s for label s of row b, so one take
+    composes every row of the block at once.  The prefixes of the
+    classes' words are walked depth first, each one step after its
+    parent prefix, so a shared prefix is walked once.  The fixed points
+    of the Burnside prefixes w[:d] give one count per (prefix, row).
+    Only the nonzero terms are kept, one (prefix, class, weight
+    phi(k/d) * |[w]|) each, about one per class; a class's total is the
+    sum of its terms' counts times weights, so no table of prefixes by
+    classes is built, whatever the class set.
     """
     rows = block_rows(n)
     width = 6 * n + 1
@@ -123,9 +123,6 @@ def block_counter(
     starts = np.array(starts, dtype=np.intp)
     twice_k = np.array([2 * cls.word_length for cls in classes], dtype=np.int64)
 
-    # The arrays are refilled in place for each block, since fresh ones
-    # cost about as much in page faults as the counting.  Depth first,
-    # one walk per prefix length is kept.
     base = np.repeat(np.arange(0, size, width), width)  # first slot of the row
     # every slot's own index, except that slot 0 of each row, a dummy
     # that every walk fixes, is never counted
@@ -133,11 +130,7 @@ def block_counter(
     home[::width] = -1
     # each slot's next side after each turn, as a slot of the same row
     gathers = [base + np.tile(nxt, rows) for nxt in _next_arrays(n)]
-    crossed = np.zeros(size, dtype=np.intp)  # the block's partners as slots
-    steps = np.zeros((2, size), dtype=np.intp)
     depth = max(map(len, prefixes), default=1)
-    levels = np.zeros((depth - 1, size), dtype=np.intp)
-    fixed = np.zeros(terms * size, dtype=bool)  # laid out (terms, used) per block
     # (length - 1, last turn, prefix row or None) of every prefix; a
     # string sorts right after its prefixes and before its siblings
     order = [
@@ -150,26 +143,30 @@ def block_counter(
         if not 1 <= b <= rows:
             raise ValueError(f"a block at N = {n} has 1..{rows} rows, got {b}")
         used = b * width
-        crossed_b = np.add(block.reshape(-1), base[:used], out=crossed[:used])
+        # One allocation holds the call's slot arrays: partners as slots,
+        # two steps, one walk per prefix length past 1.  As depth + 2
+        # arrays, at N = 1000 malloc trimmed the heap top after each call,
+        # so one row at trace <= 7 took 210 us with page faults, not 105.
+        work = np.empty((depth + 2, used), dtype=np.intp)
+        crossed = np.add(block.reshape(-1), base[:used], out=work[0])
         # mode="clip" keeps take from buffering its output; every slot
         # is in range
-        steps_b = [
-            crossed_b.take(gather[:used], out=step[:used], mode="clip")
-            for gather, step in zip(gathers, steps)
+        steps = [
+            crossed.take(gather[:used], out=step, mode="clip")
+            for gather, step in zip(gathers, work[1:])
         ]
-        levels_b = levels[:, :used]
         home_b = home[:used]
-        fixed_b = fixed[: terms * used].reshape(terms, used)
+        fixed = np.empty((terms, used), dtype=bool)
         walks = [None] * depth  # walks[j]: the current prefix of length j + 1
         for j, turn, p in order:
-            walk = steps_b[turn]
+            walk = steps[turn]
             if j:
-                walk = walk.take(walks[j - 1], out=levels_b[j - 1], mode="clip")
+                walk = walk.take(walks[j - 1], out=work[2 + j], mode="clip")
             walks[j] = walk
             if p is not None:
-                np.equal(walk, home_b, out=fixed_b[p])
+                np.equal(walk, home_b, out=fixed[p])
         # fixed slot i of prefix p counts for row i // width of block p
-        slots = np.flatnonzero(fixed_b) // width
+        slots = np.flatnonzero(fixed) // width
         counts = np.bincount(slots, minlength=terms * b).reshape(terms, b)
         # every class has its d = k term, so no class's run of terms is empty
         totals = np.add.reduceat(counts[term_prefixes] * term_weights, starts).T
@@ -191,6 +188,8 @@ def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int
     The one-row call of block_counter.
     """
     classes = tuple(classes)
+    if len(set(classes)) != len(classes):  # the counts are keyed by class
+        raise ValueError("duplicate classes")
     counts = block_counter(g.half_count, classes)(g.partner[None])[0]
     return dict(zip(classes, counts.tolist()))
 

@@ -135,7 +135,6 @@ def product_poisson_on(
 
 def empirical_distribution(
     samples: Iterable[tuple[int, ...]] | Mapping[tuple[int, ...], int],
-    dimension: int | None = None,
 ) -> FiniteDistribution:
     """Relative frequencies as exact fractions, with the sample count."""
     counts = Counter(dict(samples)) if isinstance(samples, Mapping) else Counter(samples)
@@ -145,8 +144,6 @@ def empirical_distribution(
     dims = {len(vec) for vec in counts}
     if len(dims) != 1:
         raise ValueError("samples have mixed dimensions")
-    if dimension is not None and dims != {dimension}:
-        raise ValueError("samples do not match the declared dimension")
     atoms = {tuple(vec): Fraction(c, total) for vec, c in counts.items()}
     return FiniteDistribution(dimension=dims.pop(), atoms=atoms, sample_count=total)
 

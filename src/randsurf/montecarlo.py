@@ -22,7 +22,7 @@ counts are tallied in sample order.  The row budget keeps a block's
 arrays small at every N.  Large blocks gain nothing there: at N = 1000,
 counting 32 samples over the trace <= 7 classes took 6.4-6.7 ms as one
 32-sample block and as 32 one-sample blocks alike (2-core Xeon, in
-process), while each of the counter's arrays holds 48 kB per row.  The
+process), while each of a call's work arrays takes 48 kB per row.  The
 counter is cycles.block_counter(N, classes), cached per process, so a
 process builds it once per run, not once per chunk, and shares it with
 count_vector; a pool parent builds none, since it counts nothing.

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from randsurf.cycles import (
     count_vector,
 )
 from randsurf.exact import enumerate_all_gluings
-from randsurf.gluing import Gluing, block_rows, sample_uniform_gluing
+from randsurf.gluing import Gluing, block_rows, sample_uniform_gluing, sampled_block
 from randsurf.words import (
     canonicalize,
     enumerate_classes_by_length,
@@ -146,19 +147,21 @@ def test_a_class_with_a_wrong_size_or_trace_gets_its_own_counter(torus_gluing):
         count_vector(torus_gluing, [replace(lr, class_size=1)])
 
 
-def test_sixteen_step_cycles_on_the_torus_peak_under_32_mb(torus_gluing):
+def test_sixteen_step_cycles_on_the_torus_peak_and_hold_under_4_mb(torus_gluing):
     # the counter keeps the 4687 nonzero Burnside terms of the 4589 classes
-    # of length <= 16, not a dense table of prefixes by classes
+    # of length <= 16, not a dense table of prefixes by classes, and a
+    # one-row call allocates work arrays for one row only
     enumerate_classes_by_length(16)  # the classes are not the counter's memory
     cycles.block_counter.cache_clear()
     tracemalloc.start()
     try:
         report = count_cycles(torus_gluing, 16)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         cycles.block_counter.cache_clear()
-    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert held < 4 * 2**20, f"held {held / 2**20:.1f} MB"
     short = {c: k for c, k in report.counts.items() if c.word_length <= 10}
     assert short == brute_force_counts(torus_gluing, 10)
 
@@ -217,6 +220,13 @@ def test_count_vector_preserves_order_and_fills_zeros():
         assert vec[c] == full.get(c, 0)
 
 
+def test_count_vector_refuses_a_repeated_class(torus_gluing):
+    # the counts are keyed by class, so a repeat would silently drop an entry
+    lr, llr = canonicalize("LR"), canonicalize("LLR")
+    with pytest.raises(ValueError, match="duplicate classes"):
+        count_vector(torus_gluing, [lr, llr, lr])
+
+
 def test_count_vector_builds_one_counter_per_class_tuple():
     cycles.block_counter.cache_clear()
     classes = [canonicalize(w) for w in ("LR", "LLR", "LRLR")]
@@ -242,3 +252,41 @@ def test_blocks_outside_one_to_block_rows_rows_raise(n):
     for bad in (0, rows + 1):
         with pytest.raises(ValueError, match=f"has 1..{rows} rows, got {bad}"):
             count(np.zeros((bad, 6 * n + 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [10, 1000])
+def test_one_counter_counts_blocks_from_two_threads_at_once(n):
+    # block_rows gives 64-row blocks at N = 10 and 1-row blocks at N = 1000
+    classes = enumerate_classes_by_trace(7).classes
+    count = cycles.block_counter(n, classes)
+    rows = block_rows(n)
+    blocks = [sampled_block(n, 31, first) for first in (0, rows)]
+    want = [count(block).tolist() for block in blocks]
+    calls = 200 if rows == 1 else 50
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def run(t):
+        start.wait()
+        for _ in range(calls):
+            got[t].append(count(blocks[t]).tolist())
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for t in range(2):
+        assert want[t] != want[1 - t]  # distinct blocks
+        assert got[t] == [want[t]] * calls
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_interleaved_full_and_one_row_blocks_match_fresh_counters(n):
+    classes = enumerate_classes_by_trace(7).classes
+    count = cycles.block_counter(n, classes)
+    rows = block_rows(n)
+    full = sampled_block(n, 8, 0)
+    for block in (full, full[3:4], full, full[:1], full[rows - 1 :], full):
+        fresh = cycles.block_counter.__wrapped__(n, classes)
+        assert count(block).tolist() == fresh(block).tolist()
