@@ -333,14 +333,16 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     classes = _resolve_classes(parser, args)
     system = _or_usage(parser, exact_joint_distribution, classes, args.n, dps=args.dps)
 
-    joint_rows = [
-        {
-            "counts": [int(v) for v in vec],
-            "probability_exact": _exact(p),
-            "probability": _dec(p),
-        }
-        for vec, p in sorted(system.joint_law.atoms.items())
-    ]
+    joint_rows = []
+    for vec, count in sorted(system.joint_law.items()):
+        p = Fraction(count, system.gluing_count)
+        joint_rows.append(
+            {
+                "counts": [int(v) for v in vec],
+                "probability_exact": _exact(p),
+                "probability": _dec(p),
+            }
+        )
     per_class = []
     for c in system.classes:
         mean = system.exact_means[c]

@@ -1,76 +1,34 @@
-"""Finite laws on count vectors, Poisson references and total variation.
+"""Poisson references and total variation for integer histograms.
 
-Probabilities are plain numbers of whatever arithmetic the caller
-wants: floats for Monte Carlo work, Fractions for exact laws coming
-out of exhaustive enumeration, Decimals when extra digits are needed.
-Mixing is allowed wherever Python arithmetic allows it, and tv_distance
-also compares a Fraction law with a Decimal one.
+Every law the package measures is a histogram: a mapping from count
+vectors to integer counts, whose total is the sum of the counts (the
+samples of a Monte Carlo run, or the (6N-1)!! gluings of the exact
+oracle).  Its shares count / total are never stored; tv_distance and
+tv_standard_error compute each one in the reference's arithmetic,
+count / total against floats and Decimal(count) / total, rounded in the
+current decimal context, against Decimals.
 
 Product-Poisson references are evaluated on a prescribed support,
-usually that of the law they are compared with; the reference mass
-off that support is kept as an explicit tail_mass, so the distance
-to a law living on the support is the exact total variation.
+usually the histogram's own, sorted(hist); the reference mass off that
+support is kept as an explicit tail_mass, so the distance to a
+histogram living on the support is the exact total variation.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+Histogram = Mapping[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Probability mass on finitely many integer vectors.
+class PoissonReference(NamedTuple):
+    """Product-Poisson atoms on a support, and the mass off it."""
 
-    tail_mass is mass known to exist outside the listed atoms (a
-    reference law's mass off its support); sample_count is set for
-    empirical laws and feeds the standard-error formulas.
-    """
-
-    dimension: int
-    atoms: Mapping[tuple[int, ...], object]
-    tail_mass: object = 0
-    sample_count: int | None = None
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        total = self.tail_mass
-        for vec, prob in self.atoms.items():
-            if len(vec) != self.dimension or any(k < 0 for k in vec):
-                raise ValueError(f"bad support vector {vec}")
-            if prob < 0:
-                raise ValueError(f"negative probability at {vec}")
-            total = total + prob
-        if isinstance(total, (int, Fraction)):
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, expected 1")
-        elif abs(total - 1) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-
-    def probability(self, vec: tuple[int, ...]):
-        return self.atoms.get(tuple(vec), 0)
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.atoms)
-
-    def marginal(self, axis: int) -> "FiniteDistribution":
-        if not 0 <= axis < self.dimension:
-            raise ValueError(f"axis out of range: {axis}")
-        out: dict[tuple[int, ...], object] = {}
-        for vec, prob in self.atoms.items():
-            key = (vec[axis],)
-            out[key] = out.get(key, 0) + prob
-        return FiniteDistribution(
-            dimension=1,
-            atoms=out,
-            tail_mass=self.tail_mass,
-            sample_count=self.sample_count,
-        )
+    atoms: dict[tuple[int, ...], float | Decimal]
+    tail_mass: float | Decimal
 
 
 def poisson_pmf(lam, k: int) -> float:
@@ -83,19 +41,14 @@ def poisson_pmf(lam, k: int) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
-def _decimal(x: Fraction) -> Decimal:
-    """x rounded in the current decimal context."""
-    return Decimal(x.numerator) / x.denominator
-
-
 def product_poisson_on(
     lambdas: Sequence, support: Iterable[tuple[int, ...]], precision: int | None = None
-) -> FiniteDistribution:
+) -> PoissonReference:
     """Product Poisson evaluated on a prescribed support set.
 
-    Mass outside the support goes to tail_mass.  Against a law that
-    lives entirely on the support, tv_distance then gives the exact
-    total variation rather than an upper estimate, whatever the
+    Mass outside the support goes to tail_mass.  Against a histogram
+    that lives entirely on the support, tv_distance then gives the
+    exact total variation rather than an upper estimate, whatever the
     dimension.
 
     With precision=None the atoms are floats.  Otherwise they are
@@ -119,7 +72,8 @@ def product_poisson_on(
         if min(rates) <= 0:
             raise ValueError("rate must be positive")
         with localcontext(Context(prec=precision)):
-            scale = _decimal(-sum(rates)).exp()
+            exponent = -sum(rates)
+            scale = (Decimal(exponent.numerator) / exponent.denominator).exp()
             atoms = {}
             for vec in vectors:
                 num = den = 1
@@ -130,58 +84,45 @@ def product_poisson_on(
             tail = Decimal(1) - sum(atoms.values())
     if tail < 0:
         tail = type(tail)(0)  # roundoff guard
-    return FiniteDistribution(dimension=d, atoms=atoms, tail_mass=tail)
+    return PoissonReference(atoms, tail)
 
 
-def empirical_distribution(
-    samples: Iterable[tuple[int, ...]] | Mapping[tuple[int, ...], int],
-) -> FiniteDistribution:
-    """Relative frequencies as exact fractions, with the sample count."""
-    counts = Counter(dict(samples)) if isinstance(samples, Mapping) else Counter(samples)
-    if not counts:
-        raise ValueError("no samples")
-    total = sum(counts.values())
-    dims = {len(vec) for vec in counts}
-    if len(dims) != 1:
-        raise ValueError("samples have mixed dimensions")
-    atoms = {tuple(vec): Fraction(c, total) for vec, c in counts.items()}
-    return FiniteDistribution(dimension=dims.pop(), atoms=atoms, sample_count=total)
+def _share(reference: PoissonReference, total: int) -> Callable[[int], float | Decimal]:
+    """count -> count / total in the arithmetic of the reference's atoms."""
+    if isinstance(reference.tail_mass, Decimal):
+        return lambda count: Decimal(count) / total
+    return lambda count: count / total
 
 
-def _gap(a, b):
-    # Fractions and Decimals do not subtract directly
-    if isinstance(a, Fraction) and isinstance(b, Decimal):
-        a = _decimal(a)
-    elif isinstance(b, Fraction) and isinstance(a, Decimal):
-        b = _decimal(b)
-    return abs(a - b)
-
-
-def tv_distance(p: FiniteDistribution, q: FiniteDistribution):
-    """Total variation: half the L1 gap, plus worst-case tail overlap."""
-    if p.dimension != q.dimension:
-        raise ValueError("dimension mismatch")
+def tv_distance(hist: Histogram, reference: PoissonReference):
+    """Total variation: half the L1 gap, plus the reference's tail mass."""
+    share = _share(reference, sum(hist.values()))
+    atoms = reference.atoms
     gap = 0
-    for vec in set(p.atoms) | set(q.atoms):
-        gap = gap + _gap(p.probability(vec), q.probability(vec))
-    return (gap + p.tail_mass + q.tail_mass) / 2
+    # set() sizes its table once for a plain dict but grows it key by key for
+    # a Counter, and the two tables can iterate, and so sum, in other orders
+    for vec in set(dict(hist)) | set(atoms):
+        gap = gap + abs(share(hist.get(vec, 0)) - atoms.get(vec, 0))
+    return (gap + reference.tail_mass) / 2
 
 
-def tv_standard_error(p: FiniteDistribution, q: FiniteDistribution) -> float:
+def tv_standard_error(hist: Histogram, reference: PoissonReference) -> float:
     """Delta-method standard error of the plug-in distance.
 
-    Treats the sign pattern of p - q as fixed; the estimate is the
-    sample mean of a +-1/2 valued function of the draw, so its spread
-    is at most 1/(2 sqrt(M)).
+    Treats the sign pattern of the gap to the reference as fixed; the
+    estimate is the sample mean of a +-1/2 valued function of the draw,
+    so its spread is at most 1/(2 sqrt(M)) over M = sum of the counts.
     """
-    if p.sample_count is None:
-        raise ValueError("p must be an empirical distribution")
+    total = sum(hist.values())
+    share = _share(reference, total)
+    atoms = reference.atoms
     mean = 0.0
     mean_sq = 0.0
-    for vec, prob in p.atoms.items():
-        diff = float(prob - q.probability(vec))
+    for vec, count in hist.items():
+        p = share(count)
+        diff = p - atoms.get(vec, 0)
         c = 0.5 if diff > 0 else (-0.5 if diff < 0 else 0.0)
-        w = float(prob)
+        w = float(p)
         mean += w * c
         mean_sq += w * c * c
-    return math.sqrt(max(0.0, mean_sq - mean * mean) / p.sample_count)
+    return math.sqrt(max(0.0, mean_sq - mean * mean) / total)

@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from randsurf.cycles import block_counter
-from randsurf.dists import FiniteDistribution, product_poisson_on, tv_distance
+from randsurf.dists import product_poisson_on, tv_distance
 from randsurf.gluing import Gluing, block_rows
 from randsurf.words import WordClass
 
@@ -122,12 +122,17 @@ def _connected_law(m: int, classes: tuple[WordClass, ...]) -> Counter:
 
 
 class ExactSystem(NamedTuple):
-    """Exact joint distribution of class counts over all gluings."""
+    """Exact joint law of class counts over all gluings.
+
+    joint_law is an integer histogram: the number of gluings with each
+    count vector, out of gluing_count, so each probability is
+    Fraction(count, gluing_count).
+    """
 
     half_count: int
     gluing_count: int
     classes: tuple[WordClass, ...]
-    joint_law: FiniteDistribution
+    joint_law: Counter
     exact_means: dict[WordClass, Fraction]
     exact_mtv: Decimal  # to the requested number of significant digits
 
@@ -164,20 +169,16 @@ def exact_joint_distribution(
     if total != matching_count(n):
         raise RuntimeError(f"counted {total} gluings, expected {matching_count(n)}")
 
-    joint_law = FiniteDistribution(
-        dimension=len(classes),
-        atoms={vec: Fraction(cnt, total) for vec, cnt in law_counts.items()},
-    )
     reference = product_poisson_on(
-        [c.lam for c in classes], joint_law.support(), precision=dps
+        [c.lam for c in classes], sorted(law_counts), precision=dps
     )
     with localcontext(Context(prec=dps)):
-        mtv = tv_distance(joint_law, reference)
+        mtv = tv_distance(law_counts, reference)
     return ExactSystem(
         half_count=n,
         gluing_count=total,
         classes=classes,
-        joint_law=joint_law,
+        joint_law=law_counts,
         exact_means={
             c: Fraction(sum(vec[i] * cnt for vec, cnt in law_counts.items()), total)
             for i, c in enumerate(classes)

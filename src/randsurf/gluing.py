@@ -124,6 +124,17 @@ class Gluing:
         fields["partner"] = partner
         return g
 
+    # value semantics: the generated methods would compare and hash the array
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Gluing):
+            return NotImplemented
+        return self.half_count == other.half_count and np.array_equal(
+            self.partner, other.partner
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.partner.tolist()))
+
     def pairs(self) -> tuple[tuple[int, int], ...]:
         out = []
         for s in range(1, 6 * self.half_count + 1):

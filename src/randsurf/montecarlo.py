@@ -48,12 +48,7 @@ from typing import NamedTuple, Sequence
 
 from randsurf.bounds import BoundReport, bound_report
 from randsurf.cycles import block_counter
-from randsurf.dists import (
-    empirical_distribution,
-    product_poisson_on,
-    tv_distance,
-    tv_standard_error,
-)
+from randsurf.dists import product_poisson_on, tv_distance, tv_standard_error
 from randsurf.gluing import (
     SEED_BLOCK,
     _generator_from_state,
@@ -225,17 +220,28 @@ def _variance(total: int, total_sq: int, m: int) -> Fraction:
 
 
 def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
-    m = sum(tallies.joint.values())
+    """The report of a run, derived from its integer histograms alone.
+
+    Means, variances and covariances are exact sums over tallies.joint.
+    Each distance compares a histogram, the joint one or a class's
+    marginal (built in one pass over the joint), with a float product
+    Poisson on its own sorted support.
+    """
+    joint = tallies.joint
+    m = sum(joint.values())
     classes = plan.classes
-    sums, squares, cross = _moment_sums(tallies.joint, len(classes))
+    sums, squares, cross = _moment_sums(joint, len(classes))
     lambdas = [c.lam for c in classes]
-    joint_emp = empirical_distribution(tallies.joint)
+    # marginal histograms keep the joint's first-appearance order
+    marginals = [Counter() for _ in classes]
+    for vec, count in joint.items():
+        for marg, k in zip(marginals, vec):
+            marg[(k,)] += count
 
     per_class = []
-    for i, c in enumerate(classes):
-        marg = joint_emp.marginal(i)
-        max_count = max(vec[0] for vec in marg.atoms)
-        ref = product_poisson_on([c.lam], marg.support())
+    for i, (c, marg) in enumerate(zip(classes, marginals)):
+        support = sorted(marg)
+        ref = product_poisson_on([c.lam], support)
         mean = Fraction(sums[i], m)
         var = _variance(sums[i], squares[i], m)
         per_class.append(
@@ -246,7 +252,7 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
                 variance=var,
                 tv_vs_poisson=float(tv_distance(marg, ref)),
                 tv_se=tv_standard_error(marg, ref),
-                max_count=max_count,
+                max_count=support[-1][0],
             )
         )
 
@@ -273,7 +279,7 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
         se = math.sqrt(max(0.0, mu22 - float(cov) ** 2) / m)
         pairs.append(PairSummary(classes[i], classes[j], cov, se))
 
-    joint_ref = product_poisson_on(lambdas, joint_emp.support())
+    joint_ref = product_poisson_on(lambdas, sorted(joint))
     report_bounds = None
     note = None
     m_w = max(c.word_length for c in classes)
@@ -305,9 +311,9 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
         plan=plan,
         per_class=tuple(per_class),
         pairs=tuple(pairs),
-        joint_mtv=float(tv_distance(joint_emp, joint_ref)),
-        joint_mtv_se=tv_standard_error(joint_emp, joint_ref),
-        joint_support_size=len(joint_emp.atoms),
+        joint_mtv=float(tv_distance(joint, joint_ref)),
+        joint_mtv_se=tv_standard_error(joint, joint_ref),
+        joint_support_size=len(joint),
         bounds=report_bounds,
         bounds_note=note,
         topology=topo,

@@ -184,6 +184,21 @@ def test_pairs_round_trip(torus_gluing):
     assert torus_gluing.pairs() == ((1, 4), (2, 5), (3, 6))
 
 
+def test_gluings_compare_and_hash_by_value(torus_gluing, sphere_gluing):
+    same = Gluing.from_pairs(1, torus_gluing.pairs())
+    assert same == torus_gluing and not same != torus_gluing
+    assert hash(same) == hash(torus_gluing)
+    assert torus_gluing != sphere_gluing
+    # a sampled (trusted) gluing equals its checked copy, whatever the dtype
+    sampled = sample_uniform_gluing(10, seed=3, index=0)
+    narrow = Gluing(10, sampled.partner.astype(np.int32))
+    assert narrow == sampled and hash(narrow) == hash(sampled)
+    assert sampled != sample_uniform_gluing(10, seed=3, index=1)
+    assert len({sampled, narrow, same, torus_gluing, sphere_gluing}) == 3
+    # other types never compare equal
+    assert torus_gluing != torus_gluing.partner.tolist()
+
+
 def test_step_goldens(torus_gluing, sphere_gluing):
     assert step(torus_gluing, 1, "L") == 5
     assert step(sphere_gluing, 1, "L") == 1

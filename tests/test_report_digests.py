@@ -40,6 +40,12 @@ CASES = {
         ["bound", "--n", "100", "--max-trace", "5", "--format", "csv"],
         "4022704e69ebb1f2340039c662f65bd9f2b9d0be60e956b7b21ae43ddc68e513",
     ),
+    # ten classes: 299 joint atoms and 45 pairs, summed in histogram order
+    "stats_trace9": (
+        ["stats", "--n", "20", "--max-trace", "9", "--samples", "300", "--no-topology",
+         "--seed", "2"],
+        "fa7ed1e8ced0a122951647bd65685781b89262f6e1a4aaa9a980b361c82ebf69",
+    ),
     "oracle_json": (
         ["oracle", "--n", "1", "--classes", "LR,LLR,LRLR"],
         "cbd76357cfa02d6cd18ad4f9280804230abd9b79f5c92cebcd3372077486d040",
@@ -47,6 +53,11 @@ CASES = {
     "oracle_csv": (
         ["oracle", "--n", "1", "--classes", "LR,LLR,LRLR", "--format", "csv"],
         "46afe374c37a954982a5c26a126b3a1193cba36c6cd06ffc69e963155fa16a3e",
+    ),
+    # the Decimal distance over 92 atoms, at the default 60 digits
+    "oracle_n3_trace6": (
+        ["oracle", "--n", "3", "--max-trace", "6"],
+        "07d7eb09f2d4f0a39b085980a0a8c5a7b7de244c9798fac009b8b7716f2bb358",
     ),
     "words": (
         ["words", "--max-len", "4"],

@@ -157,6 +157,7 @@ RECORDS = {
         "half_count", "classes", "card", "m_w", "c_w", "sigma", "refined", "main",
         "exact_refined", "exact_main",
     ),
+    "randsurf.dists.PoissonReference": ("atoms", "tail_mass"),
     "randsurf.exact.ExactSystem": (
         "half_count", "gluing_count", "classes", "joint_law", "exact_means", "exact_mtv",
     ),
