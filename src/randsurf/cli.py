@@ -9,8 +9,8 @@ oracle   exact law over all gluings (N <= 5)
 
 Every command's output is a pure function of its flags.  Floats are
 serialized as 12-significant-digit decimal strings, with exact
-rationals alongside where the computation was rational, so replays and
-golden files compare byte for byte.  The worker count is an execution
+rationals alongside where the value is a Fraction (one rule, _number),
+so replays and golden files compare byte for byte.  The worker count is an execution
 detail and never appears in a report.
 
 Importing this module loads the words, sampler, counter, Monte Carlo
@@ -27,7 +27,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from randsurf.bounds import BoundReport, bound_report
 from randsurf.lognum import LogNumber
@@ -47,8 +47,23 @@ def _dec(x) -> str:
     return format(float(x), ".12g")
 
 
-def _exact(x) -> str:
-    return str(Fraction(x))
+def _number(name: str, value) -> dict:
+    """The one number rule of every report, chosen by the value's type.
+
+    A Fraction becomes ``<name>_exact`` (the exact rational) followed by
+    ``<name>`` (12 digits), a float becomes ``<name>`` at 12 digits, and
+    any other value (int, bool, str, None, ...) passes through unchanged.
+    """
+    if isinstance(value, Fraction):
+        return {f"{name}_exact": str(value), name: _dec(value)}
+    if isinstance(value, float):
+        return {name: _dec(value)}
+    return {name: value}
+
+
+def _record(fields: Iterable[tuple[str, object]]) -> dict:
+    """A report record: each (name, value) rendered by _number, in order."""
+    return {k: v for name, value in fields for k, v in _number(name, value).items()}
 
 
 # 12 digits over any exponent range: past the double range the value prints inf
@@ -64,18 +79,19 @@ def _lognum(x: LogNumber) -> dict:
 
 
 def _class_record(c: WordClass) -> dict:
-    return {
-        "word": c.canonical,
-        "word_length": c.word_length,
-        "class_size": c.class_size,
-        "trace": c.trace,
-        "lambda_exact": _exact(c.lam),
-        "lambda": _dec(c.lam),
-        "primitive": c.primitive,
-        "parabolic": c.parabolic,
-        "geodesic_length": None if c.parabolic else _dec(c.length),
-        "mirror_word": c.mirror_class().canonical,
-    }
+    return _record(
+        {
+            "word": c.canonical,
+            "word_length": c.word_length,
+            "class_size": c.class_size,
+            "trace": c.trace,
+            "lambda": c.lam,
+            "primitive": c.primitive,
+            "parabolic": c.parabolic,
+            "geodesic_length": None if c.parabolic else c.length,
+            "mirror_word": c.mirror_class().canonical,
+        }.items()
+    )
 
 
 def _write(
@@ -178,16 +194,14 @@ def cmd_words(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def _bounds_payload(report: BoundReport) -> dict:
-    per_class = {}
-    for c, s in report.sigma.items():
-        per_class[c.canonical] = {
-            "sigma1": _lognum(s.s1),
-            "sigma2": _lognum(s.s2),
-            "sigma3": _lognum(s.s3),
-            "sigma4": _lognum(s.s4),
+    per_class = {
+        c.canonical: {
+            **{f"sigma{k}": _lognum(x) for k, x in enumerate(s, 1)},
             "total": _lognum(s.total),
         }
-    payload = {
+        for c, s in report.sigma.items()
+    }
+    return {
         "card": report.card,
         "m_w": report.m_w,
         "c_w": report.c_w,
@@ -197,12 +211,9 @@ def _bounds_payload(report: BoundReport) -> dict:
         "main": _lognum(report.main),
         "main_clamped": _dec(report.main_clamped),
         "refined_le_main": report.refined_le_main,
-        "refined_exact": None
-        if report.exact_refined is None
-        else _exact(report.exact_refined),
-        "main_exact": None if report.exact_main is None else _exact(report.exact_main),
+        "refined_exact": None if report.exact_refined is None else str(report.exact_refined),
+        "main_exact": None if report.exact_main is None else str(report.exact_main),
     }
-    return payload
 
 
 def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -219,50 +230,21 @@ def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     )
     report = summarize(plan, run_plan(plan))
 
-    per_class = []
-    for s in report.per_class:
-        per_class.append(
-            {
-                "word": s.word_class.canonical,
-                "lambda_exact": _exact(s.word_class.lam),
-                "lambda": _dec(s.word_class.lam),
-                "mean_exact": _exact(s.mean),
-                "mean": _dec(s.mean),
-                "mean_se": _dec(s.mean_se),
-                "variance_exact": _exact(s.variance),
-                "variance": _dec(s.variance),
-                "tv_vs_poisson": _dec(s.tv_vs_poisson),
-                "tv_se": _dec(s.tv_se),
-                "max_count": s.max_count,
-            }
+    # each summary record after its class identity, in field order
+    per_class = [
+        _record(
+            [("word", s.word_class.canonical), ("lambda", s.word_class.lam),
+             *zip(s._fields[1:], s[1:])]
         )
-    pairs = []
-    for p in report.pairs:
-        pairs.append(
-            {
-                "left": p.left.canonical,
-                "right": p.right.canonical,
-                "covariance_exact": _exact(p.covariance),
-                "covariance": _dec(p.covariance),
-                "covariance_se": _dec(p.covariance_se),
-            }
+        for s in report.per_class
+    ]
+    pairs = [
+        _record(
+            [("left", p.left.canonical), ("right", p.right.canonical), *zip(p._fields[2:], p[2:])]
         )
-    topo = None
-    if report.topology is not None:
-        t = report.topology
-        topo = {
-            "connected_fraction_exact": _exact(t.connected_fraction),
-            "connected_fraction": _dec(t.connected_fraction),
-            "connected_se": _dec(t.connected_se),
-            "mean_components_exact": _exact(t.mean_components),
-            "mean_components": _dec(t.mean_components),
-            "mean_genus_exact": _exact(t.mean_genus),
-            "mean_genus": _dec(t.mean_genus),
-            "genus_se": _dec(t.genus_se),
-            "mean_cusps_exact": _exact(t.mean_cusps),
-            "mean_cusps": _dec(t.mean_cusps),
-            "cusps_se": _dec(t.cusps_se),
-        }
+        for p in report.pairs
+    ]
+    topo = None if report.topology is None else _record(report.topology._asdict().items())
     config = {
         "n": plan.half_count,
         "samples": plan.samples,
@@ -303,11 +285,7 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     classes = _resolve_classes(parser, args)
     report = _or_usage(parser, bound_report, classes, args.n)
     rows = [
-        {
-            "name": "refined",
-            **_lognum(report.refined),
-            "clamped": _dec(report.refined_clamped),
-        },
+        {"name": "refined", **_lognum(report.refined), "clamped": _dec(report.refined_clamped)},
         {"name": "main", **_lognum(report.main), "clamped": _dec(report.main_clamped)},
     ]
     config = {"n": args.n, "classes": [c.canonical for c in classes]}
@@ -333,27 +311,17 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     classes = _resolve_classes(parser, args)
     system = _or_usage(parser, exact_joint_distribution, classes, args.n, dps=args.dps)
 
-    joint_rows = []
-    for vec, count in sorted(system.joint_law.items()):
-        p = Fraction(count, system.gluing_count)
-        joint_rows.append(
-            {
-                "counts": [int(v) for v in vec],
-                "probability_exact": _exact(p),
-                "probability": _dec(p),
-            }
-        )
-    per_class = []
-    for c in system.classes:
-        mean = system.exact_means[c]
-        per_class.append(
-            {
-                "word": c.canonical,
-                "lambda_exact": _exact(c.lam),
-                "mean_exact": _exact(mean),
-                "mean": _dec(mean),
-            }
-        )
+    joint_rows = [
+        {
+            "counts": [int(v) for v in vec],
+            **_number("probability", Fraction(count, system.gluing_count)),
+        }
+        for vec, count in sorted(system.joint_law.items())
+    ]
+    per_class = [
+        {"word": c.canonical, "lambda_exact": str(c.lam), **_number("mean", system.exact_means[c])}
+        for c in system.classes
+    ]
     config = {"n": args.n, "classes": [c.canonical for c in classes], "dps": args.dps}
     body = {
         "gluing_count": system.gluing_count,

@@ -44,6 +44,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from randsurf.bounds import BoundReport, bound_report
@@ -193,23 +195,21 @@ def _moment_sums(
 ) -> tuple[list[int], list[int], dict[tuple[int, int], list[int]]]:
     """Coordinate sums, squared sums and per-pair cross sums of a histogram.
 
-    The per-sample accumulation run once per atom, weighted by its
-    multiplicity, so the totals equal those of a loop over the samples.
+    Each sum runs over the histogram's atoms, weighted by multiplicity, so
+    the totals equal those of a loop over the samples.  The atoms are taken
+    as columns and every product is a Python int, which cannot overflow.
     """
-    sums = [0] * width
-    squares = [0] * width
+    columns = list(zip(*hist)) or [()] * width
+    weighted = [list(map(mul, hist.values(), col)) for col in columns]  # w x
+    sums = [sum(wx) for wx in weighted]
+    squares = [sum(map(mul, wx, col)) for wx, col in zip(weighted, columns)]
     # per unordered pair i < j: sum xy, x^2 y, x y^2, x^2 y^2
-    cross = {(i, j): [0, 0, 0, 0] for i in range(width) for j in range(i + 1, width)}
-    for vec, w in hist.items():
-        for i, v in enumerate(vec):
-            sums[i] += w * v
-            squares[i] += w * v * v
-        for (i, j), acc in cross.items():
-            x, y = vec[i], vec[j]
-            acc[0] += w * x * y
-            acc[1] += w * x * x * y
-            acc[2] += w * x * y * y
-            acc[3] += w * x * x * y * y
+    cross = {}
+    for i, j in combinations(range(width), 2):
+        x, y = columns[i], columns[j]
+        wxy = list(map(mul, weighted[i], y))
+        wxxy = list(map(mul, wxy, x))
+        cross[i, j] = [sum(wxy), sum(wxxy), sum(map(mul, wxy, y)), sum(map(mul, wxxy, y))]
     return sums, squares, cross
 
 

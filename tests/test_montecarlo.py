@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from randsurf import cycles, gluing
 from randsurf.cycles import brute_force_counts, count_vector
 from randsurf.gluing import block_rows, sample_uniform_gluing, topology
-from randsurf.montecarlo import CHUNK, ExperimentPlan, run_plan, summarize
+from randsurf.montecarlo import CHUNK, ExperimentPlan, _moment_sums, run_plan, summarize
 from randsurf.words import canonicalize
 
 
@@ -254,6 +256,43 @@ def test_variance_uses_the_unbiased_denominator(lr, llr):
     assert cov != 0 and len(set(genus)) > 1 and len(set(cusps)) > 1
     assert report.topology.mean_genus == Fraction(sum(genus), 6)
     assert report.topology.mean_cusps == Fraction(sum(cusps), 6)
+
+
+def _sample_loop_moments(samples, width):
+    """Sums, squared sums and pair cross sums by a plain loop over (sample, weight)."""
+    sums, squares = [0] * width, [0] * width
+    cross = {(i, j): [0, 0, 0, 0] for i in range(width) for j in range(i + 1, width)}
+    for vec, w in samples:
+        for i, x in enumerate(vec):
+            sums[i] += w * x
+            squares[i] += w * x**2
+        for (i, j), acc in cross.items():
+            x, y = vec[i], vec[j]
+            for k, term in enumerate((x * y, x**2 * y, x * y**2, x**2 * y**2)):
+                acc[k] += w * term
+    return sums, squares, cross
+
+
+@st.composite
+def _histograms(draw):
+    width = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(0, 60)] * width)
+    # small multiplicities expand into samples; large ones reach 10^6
+    weight = st.one_of(st.integers(1, 4), st.integers(1, 10**6))
+    return width, Counter(draw(st.dictionaries(vec, weight, min_size=1, max_size=12)))
+
+
+@given(_histograms())
+def test_moment_sums_equal_a_loop_over_the_samples(case):
+    width, hist = case
+    got = _moment_sums(hist, width)
+    if hist.total() <= 10_000:
+        assert got == _sample_loop_moments(((vec, 1) for vec in hist.elements()), width)
+    # an atom of multiplicity w stands for w equal samples
+    assert got == _sample_loop_moments(hist.items(), width)
+    # pairs in the summary's order, and exact Python ints throughout
+    assert list(got[2]) == [(i, j) for i in range(width) for j in range(i + 1, width)]
+    assert all(type(v) is int for v in [*got[0], *got[1], *sum(got[2].values(), [])])
 
 
 def test_pool_never_outnumbers_the_chunks(monkeypatch, lr):

@@ -26,6 +26,11 @@ CASES = {
         ["stats", "--n", "6", "--samples", "200", "--max-word-len", "4", "--seed", "5"],
         "70bde938876ca1771781cba67ed8c27fc9e2da0638c6d8b46cc41be22a429d02",
     ),
+    # one sample: the m < 2 branches ("nan" SEs, zero variance and covariance)
+    "stats_single_sample": (
+        ["stats", "--n", "3", "--samples", "1", "--classes", "LR,LLR"],
+        "cdffe8ec0eb7d60b41785420c5057914e1f6a7bcd36b080eef26bda896a56242",
+    ),
     "stats_csv": (
         ["stats", "--n", "20", "--samples", "100", "--classes", "LR,LLR,LRLR",
          "--seed", "1", "--format", "csv"],
