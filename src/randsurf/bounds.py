@@ -30,9 +30,11 @@ Everything in sight is a rational number.  The word-level sums depend
 on a class only through |w|, so they are evaluated exactly once per
 distinct word length in W: the p's factor out of the inner sums, the
 (j, k) double sum collapses onto j + k, and each sigma is one integer
-over a common denominator.  Log mode (LogNumber) is a view of these
-exact values, not a second evaluation.  Bounds only hold under
-m_W <= N, enforced as a hard error.
+over a common denominator.  bound_report returns these exact values
+only; how a report prints them (log views, clamps, which ones also
+print exactly) is the CLI's business.  The functions' log mode
+(LogNumber) is a view of the same values, not a second evaluation.
+Bounds only hold under m_W <= N, enforced as a hard error.
 """
 
 from __future__ import annotations
@@ -82,14 +84,8 @@ class SigmaSet(NamedTuple):
     s4: object
 
     @property
-    def total(self):
-        parts = (self.s1, self.s2, self.s3, self.s4)
-        if isinstance(self.s1, LogNumber):
-            return LogNumber(sum(x.value for x in parts))
-        return sum(parts)
-
-    def view(self, viewer: Callable) -> "SigmaSet":
-        return SigmaSet(viewer(self.s1), viewer(self.s2), viewer(self.s3), viewer(self.s4))
+    def total(self) -> Fraction:
+        return sum(self, Fraction(0))
 
 
 def _word_sigmas(classes: Sequence[WordClass], n: int, m_w: int) -> dict[int, SigmaSet]:
@@ -170,7 +166,7 @@ def sigma_word_bounds(
     viewer = _viewer(mode)
     m_w, _ = _check_class_set(classes, n)
     word = _word_sigmas(classes, n, m_w)
-    return {c: word[c.word_length].view(viewer) for c in classes}
+    return {c: SigmaSet(*map(viewer, word[c.word_length])) for c in classes}
 
 
 def simplified_sigma_bounds(classes: Sequence[WordClass], n: int) -> SigmaSet:
@@ -242,47 +238,22 @@ class BoundReport(NamedTuple):
     card: int
     m_w: int
     c_w: int
-    sigma: dict[WordClass, SigmaSet]  # LogNumber views of the exact values
-    refined: LogNumber
-    main: LogNumber
-    exact_refined: Fraction | None
-    exact_main: Fraction | None
-
-    @property
-    def refined_le_main(self) -> bool:
-        return self.refined <= self.main
-
-    @property
-    def refined_clamped(self) -> float:
-        return min(1.0, self.refined.to_float())
-
-    @property
-    def main_clamped(self) -> float:
-        return min(1.0, self.main.to_float())
-
-
-# reports carry the exact refined Fraction only in this corner of
-# parameter space, where its digits stay short; the value is computed
-# for every report, so the gate sets the format, not the cost
-_EXACT_N_LIMIT = 1000
-_EXACT_LEN_LIMIT = 6
+    sigma: dict[WordClass, SigmaSet]
+    refined: Fraction
+    main: Fraction
 
 
 def bound_report(classes: Sequence[WordClass], n: int) -> BoundReport:
+    """The exact bounds for W at N: class-level sigmas, refined and main."""
     m_w, c_w = _check_class_set(classes, n)
     sigma = _class_sigmas(classes, n, m_w)
-    refined = _refined(sigma)
-    main = theorem_bound_value(len(classes), m_w, n)
-    shown = classes and n <= _EXACT_N_LIMIT and m_w <= _EXACT_LEN_LIMIT
     return BoundReport(
         half_count=n,
         classes=tuple(classes),
         card=len(classes),
         m_w=m_w,
         c_w=c_w,
-        sigma={c: s.view(LogNumber) for c, s in sigma.items()},
-        refined=LogNumber(refined),
-        main=LogNumber(main),
-        exact_refined=refined if shown else None,
-        exact_main=main if classes else None,
+        sigma=sigma,
+        refined=_refined(sigma),
+        main=theorem_bound_value(len(classes), m_w, n),
     )

@@ -7,11 +7,15 @@ stats    seeded Monte Carlo over gluings with full statistics report
 bound    evaluate the explicit distance bounds for a class set
 oracle   exact law over all gluings (N <= 5)
 
-Every command's output is a pure function of its flags.  Floats are
-serialized as 12-significant-digit decimal strings, with exact
-rationals alongside where the value is a Fraction (one rule, _number),
-so replays and golden files compare byte for byte.  The worker count is an execution
-detail and never appears in a report.
+Every command's output is a pure function of its flags, so replays and
+golden files compare byte for byte.  Every number goes through one rule,
+_number, chosen by the value's type: 12 significant digits correctly
+rounded from the exact value, the exact rational alongside where the
+value is a Fraction, and log10 next to the digits where it is a
+LogNumber.  The bound module returns exact rationals only; the report
+format (log views, clamps, which bounds also print exactly) is decided
+here.  The worker count is an execution detail and never appears in a
+report.
 
 Importing this module loads the words, sampler, counter, Monte Carlo
 and bound code.  The exact oracle (randsurf.exact), the worker pool
@@ -42,40 +46,42 @@ from randsurf.words import (
 SCHEMA_VERSION = 1
 
 
+# 12 digits over any exponent range: past the double range the value prints inf
+_DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _dec(x) -> str:
-    """12 significant digits, enough to pin doubles across platforms."""
-    return format(float(x), ".12g")
+    """12 significant digits of a float, Decimal or Fraction.
+
+    The digits are rounded from the exact value: rounding a Fraction's
+    double instead can land on the wrong side of a 12-digit boundary.
+    """
+    if isinstance(x, Fraction):
+        x = _DECIMAL_12.divide(x.numerator, x.denominator)
+    return format(float(_DECIMAL_12.create_decimal(x)), ".12g")
 
 
 def _number(name: str, value) -> dict:
     """The one number rule of every report, chosen by the value's type.
 
     A Fraction becomes ``<name>_exact`` (the exact rational) followed by
-    ``<name>`` (12 digits), a float becomes ``<name>`` at 12 digits, and
-    any other value (int, bool, str, None, ...) passes through unchanged.
+    ``<name>`` (12 digits); a Decimal or a float becomes ``<name>`` at 12
+    digits; a LogNumber becomes ``<name>`` holding its ``log10`` and its
+    12-digit ``value``; any other value (int, bool, str, None, ...)
+    passes through unchanged.
     """
     if isinstance(value, Fraction):
         return {f"{name}_exact": str(value), name: _dec(value)}
-    if isinstance(value, float):
+    if isinstance(value, (float, decimal.Decimal)):
         return {name: _dec(value)}
+    if isinstance(value, LogNumber):
+        return {name: {"log10": _dec(value.log10), "value": _dec(value.value)}}
     return {name: value}
 
 
 def _record(fields: Iterable[tuple[str, object]]) -> dict:
     """A report record: each (name, value) rendered by _number, in order."""
     return {k: v for name, value in fields for k, v in _number(name, value).items()}
-
-
-# 12 digits over any exponent range: past the double range the value prints inf
-_DECIMAL_12 = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-
-
-def _lognum(x: LogNumber) -> dict:
-    # round the exact value to 12 digits first: _dec of its double can
-    # land on the wrong side of a 12-digit rounding boundary
-    num, den = x.value.numerator, x.value.denominator
-    value = _DECIMAL_12.divide(decimal.Decimal(num), decimal.Decimal(den))
-    return {"log10": _dec(x.log10), "value": _dec(value)}
 
 
 def _class_record(c: WordClass) -> dict:
@@ -193,27 +199,37 @@ def cmd_words(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 # stats
 
 
+# reports carry the exact refined bound only in this corner of parameter
+# space, where its digits stay short; bound_report computes it for every
+# report, so the gate sets the format, not the cost
+_EXACT_N_LIMIT = 1000
+_EXACT_LEN_LIMIT = 6
+
+
 def _bounds_payload(report: BoundReport) -> dict:
+    refined, main = report.refined, report.main
     per_class = {
-        c.canonical: {
-            **{f"sigma{k}": _lognum(x) for k, x in enumerate(s, 1)},
-            "total": _lognum(s.total),
-        }
+        c.canonical: _record(
+            zip(("sigma1", "sigma2", "sigma3", "sigma4", "total"), map(LogNumber, (*s, s.total)))
+        )
         for c, s in report.sigma.items()
     }
-    return {
-        "card": report.card,
-        "m_w": report.m_w,
-        "c_w": report.c_w,
-        "per_class_sigma": per_class,
-        "refined": _lognum(report.refined),
-        "refined_clamped": _dec(report.refined_clamped),
-        "main": _lognum(report.main),
-        "main_clamped": _dec(report.main_clamped),
-        "refined_le_main": report.refined_le_main,
-        "refined_exact": None if report.exact_refined is None else str(report.exact_refined),
-        "main_exact": None if report.exact_main is None else str(report.exact_main),
-    }
+    shown = report.card and report.half_count <= _EXACT_N_LIMIT and report.m_w <= _EXACT_LEN_LIMIT
+    return _record(
+        [
+            ("card", report.card),
+            ("m_w", report.m_w),
+            ("c_w", report.c_w),
+            ("per_class_sigma", per_class),
+            ("refined", LogNumber(refined)),
+            ("refined_clamped", float(min(1, refined))),
+            ("main", LogNumber(main)),
+            ("main_clamped", float(min(1, main))),
+            ("refined_le_main", refined <= main),
+            ("refined_exact", str(refined) if shown else None),
+            ("main_exact", str(main) if report.card else None),
+        ]
+    )
 
 
 def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -255,11 +271,13 @@ def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     body = {
         "per_class": per_class,
         "pairs": pairs,
-        "joint": {
-            "mtv_vs_product_poisson": _dec(report.joint_mtv),
-            "mtv_se": _dec(report.joint_mtv_se),
-            "support_size": report.joint_support_size,
-        },
+        "joint": _record(
+            [
+                ("mtv_vs_product_poisson", report.joint_mtv),
+                ("mtv_se", report.joint_mtv_se),
+                ("support_size", report.joint_support_size),
+            ]
+        ),
         "bounds": None if report.bounds is None else _bounds_payload(report.bounds),
         "bounds_note": report.bounds_note,
         "topology": topo,
@@ -284,12 +302,11 @@ def cmd_stats(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
     report = _or_usage(parser, bound_report, classes, args.n)
-    rows = [
-        {"name": "refined", **_lognum(report.refined), "clamped": _dec(report.refined_clamped)},
-        {"name": "main", **_lognum(report.main), "clamped": _dec(report.main_clamped)},
-    ]
+    body = _bounds_payload(report)
+    # the CSV is one row per aggregate bound, as rendered in the JSON
+    rows = [{"name": k, **body[k], "clamped": body[f"{k}_clamped"]} for k in ("refined", "main")]
     config = {"n": args.n, "classes": [c.canonical for c in classes]}
-    _write(args, "bound", config, _bounds_payload(report), rows)
+    _write(args, "bound", config, body, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +344,7 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         "gluing_count": system.gluing_count,
         "per_class": per_class,
         "joint_law": joint_rows,
-        "mtv_vs_product_poisson": _dec(system.exact_mtv),
+        **_number("mtv_vs_product_poisson", system.exact_mtv),
     }
     rows = [{**row, "counts": ",".join(map(str, row["counts"]))} for row in joint_rows]
     _write(args, "oracle", config, body, rows)

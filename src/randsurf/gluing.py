@@ -78,7 +78,9 @@ class Gluing:
     """A perfect matching of the 6N side labels.
 
     partner[s] is the label matched with s; partner is an involution
-    without fixed points on 1..6N.
+    without fixed points on 1..6N.  An integer partner array of another
+    dtype is stored as int64, the dtype the counters compute in (numpy
+    will not mix uint64 with int64 arithmetic).
     """
 
     half_count: int
@@ -88,6 +90,9 @@ class Gluing:
         n = self.half_count
         _check_half_count(n)
         p = self.partner
+        if p.dtype.kind in "iu" and p.dtype != np.int64:
+            p = p.astype(np.int64)
+            object.__setattr__(self, "partner", p)
         if p.shape != (6 * n + 1,):
             raise ValueError(f"partner array must have length {6 * n + 1}")
         labels = np.arange(6 * n + 1)
@@ -183,8 +188,9 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
     SeedSequence(seed) hashes the same zeros into its pool: that pool
     has already mixed the seed, after 4 * max(4, seed words) hash steps.
     The key's words are mixed into every pool word from there, and the
-    8 state words drawn, for the whole block at once.  A block never straddles a multiple of 2^32, so its
-    keys share their high words.  Cached and shared, hence read-only.
+    8 state words drawn, for the whole block at once.  A block never
+    straddles a multiple of 2^32, so its keys share their high words.
+    Cached and shared, hence read-only.
     """
     from numpy.random import SeedSequence
 

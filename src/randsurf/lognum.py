@@ -2,12 +2,14 @@
 
 The explicit error bounds blow past double precision quickly (the
 leading factor is (6m)^(3m+4), already ~1e212 at m = 30), so reports
-give each bound as its base-10 logarithm next to its double value.  A
-LogNumber wraps one exact nonnegative Fraction and derives both views
-from it: log10 after shifting the value by a power of two to a
-mantissa near 1, so huge numerators and denominators cost no digits,
-and the double by correctly rounded conversion, infinite past the
-double range.  Ordering compares the Fractions exactly.
+give each bound as its base-10 logarithm next to its 12-digit value
+(the CLI's number rule renders a LogNumber that way, rounding the
+digits from the exact value).  A LogNumber wraps one exact nonnegative
+Fraction and derives its views from it: log10 after shifting the value
+by a power of two to a mantissa near 1, so huge numerators and
+denominators cost no digits, and float() by correctly rounded
+conversion, infinite past the double range.  Ordering compares the
+Fractions exactly.  The bounds' log mode returns LogNumbers.
 """
 
 from __future__ import annotations
@@ -43,12 +45,9 @@ class LogNumber:
             mantissa = (num << -shift) / den
         return math.log10(mantissa) + shift * _LOG10_2
 
-    def to_float(self) -> float:
+    def __float__(self) -> float:
         """Correctly rounded double value, infinite when out of float range."""
         try:
             return float(self.value)
         except OverflowError:
             return math.inf
-
-    def __float__(self) -> float:
-        return self.to_float()

@@ -96,11 +96,16 @@ def test_unknown_mode_raises(bound):
 def test_log_mode_is_a_view_of_exact_mode():
     census = enumerate_classes_by_trace(6)
     classes = census.classes
+    exact = sigma_word_bounds(classes, 100)
+    for c, s in sigma_word_bounds(classes, 100, mode="log").items():
+        assert s == SigmaSet(*map(LogNumber, exact[c]))
     for s in _class_sigmas(classes, 100, census.max_word_length).values():
-        assert s.view(LogNumber).total == LogNumber(s.total)
+        assert isinstance(s.total, Fraction)
+        assert s.total == s.s1 + s.s2 + s.s3 + s.s4
     assert refined_mtv_bound(classes, 100, mode="log") == LogNumber(
         refined_mtv_bound(classes, 100)
     )
+    assert main_bound(classes, 100, mode="log") == LogNumber(main_bound(classes, 100))
 
 
 def test_pair_probability_values():
@@ -261,20 +266,20 @@ def test_admissible_trace_tightens_with_tolerance():
         admissible_trace_for_n(10**6, 2)
 
 
-def test_bound_report_exact_shadow_matches_log_values():
+def test_bound_report_holds_the_exact_bounds():
     classes = enumerate_classes_by_trace(5).classes
-    report = bound_report(classes, 100)
-    assert report.exact_refined is not None
-    assert report.refined == refined_mtv_bound(classes, 100, mode="log")
-    assert report.refined.log10 == pytest.approx(
-        math.log10(float(report.exact_refined)), abs=1e-10
-    )
-    assert report.main.log10 == pytest.approx(
-        math.log10(float(report.exact_main)), abs=1e-10
-    )
-    assert report.refined_le_main
-    assert report.m_w == 4 and report.card == 3
-    huge = bound_report(classes, 10**9)
-    assert huge.exact_refined is None  # computed, but past the report's gate
-    assert huge.refined == refined_mtv_bound(classes, 10**9, mode="log")
-    assert huge.exact_main == theorem_bound_value(3, 4, 10**9)
+    for n in (100, 10**9):  # the CLI prints the exact refined bound at 100, not at 10^9
+        report = bound_report(classes, n)
+        assert report.m_w == 4 and report.card == 3 and report.half_count == n
+        assert report.sigma == _class_sigmas(classes, n, 4)
+        assert isinstance(report.refined, Fraction) and isinstance(report.main, Fraction)
+        assert report.refined == refined_mtv_bound(classes, n)
+        assert LogNumber(report.refined) == refined_mtv_bound(classes, n, mode="log")
+        assert report.main == theorem_bound_value(3, 4, n) == main_bound(classes, n)
+        assert LogNumber(report.refined).log10 == pytest.approx(
+            math.log10(float(report.refined)), abs=1e-10
+        )
+        assert LogNumber(report.main).log10 == pytest.approx(
+            math.log10(float(report.main)), abs=1e-10
+        )
+        assert report.refined <= report.main

@@ -1,12 +1,15 @@
 import json
+import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from randsurf.bounds import _class_sigmas, refined_mtv_bound, theorem_bound_value
-from randsurf.cli import main
+from randsurf.cli import _number, main
+from randsurf.lognum import LogNumber
 from randsurf.words import enumerate_classes_by_trace
 
 
@@ -173,6 +176,12 @@ def test_bound_command_golden(tmp_path):
     assert payload["refined_le_main"] is True
 
 
+def _mpf(x) -> mpmath.mpf:
+    """A Fraction or its string as an mpf at the working precision."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def _rounded_12(x) -> str:
     """12-significant-digit string of an mpf, in the report's format."""
     return format(float(mpmath.nstr(x, 12)), ".12g")
@@ -201,10 +210,42 @@ def test_bound_strings_are_correctly_rounded(tmp_path, n, trace):
     assert len(views) == 5 * len(classes) + 2
     with mpmath.workdps(60):
         for key, value in exact.items():
-            x = mpmath.mpf(value.numerator) / value.denominator
+            x = _mpf(value)
             assert sys.float_info.min < x < sys.float_info.max
             expected = {"log10": _rounded_12(mpmath.log10(x)), "value": _rounded_12(x)}
             assert views[key] == expected, key
+
+
+@pytest.mark.parametrize(
+    "n, trace, shown", [(1000, 7, True), (1001, 7, False), (1000, 8, False)]
+)
+def test_exact_refined_bound_prints_only_for_short_digits(tmp_path, n, trace, shown):
+    payload = json.loads(
+        run_cli(["bound", "--n", str(n), "--max-trace", str(trace)], tmp_path)
+    )
+    classes = enumerate_classes_by_trace(trace).classes
+    refined = refined_mtv_bound(classes, n)
+    assert payload["refined_exact"] == (str(refined) if shown else None)
+    main_value = theorem_bound_value(len(classes), trace - 1, n)
+    assert payload["main_exact"] == str(main_value)
+    assert payload["refined_le_main"] is (refined <= main_value)
+    assert payload["refined_clamped"] == format(float(min(1, refined)), ".12g")
+    assert payload["main_clamped"] == format(float(min(1, main_value)), ".12g")
+
+
+def test_number_rounds_the_exact_value_not_its_double():
+    # the double nearest this value is past the 12-digit rounding boundary
+    x = Fraction(9922499986034999987, 10**25)
+    assert format(float(x), ".12g") == "9.92249998604e-07"
+    assert _number("x", x) == {"x_exact": str(x), "x": "9.92249998603e-07"}
+    assert _number("x", Decimal("9.922499986034999987E-7")) == {"x": "9.92249998603e-07"}
+    assert _number("x", LogNumber(x))["x"]["value"] == "9.92249998603e-07"
+    # a float's digits are those of its own exact value
+    assert _number("x", float(x)) == {"x": "9.92249998604e-07"}
+    assert _number("x", -0.0) == {"x": "-0"}
+    assert _number("x", LogNumber(10**400)) == {"x": {"log10": "400", "value": "inf"}}
+    for plain in (3, True, "LR", None):
+        assert _number("x", plain) == {"x": plain}
 
 
 def test_bound_rejects_short_n():
@@ -226,6 +267,26 @@ def test_oracle_n1_golden(tmp_path):
     law = {tuple(rec["counts"]): rec["probability_exact"] for rec in payload["joint_law"]}
     assert law == {(0,): "4/5", (3,): "1/5"}
     assert payload["mtv_vs_product_poisson"].startswith("0.380833284")
+
+
+@pytest.mark.parametrize("n, classes", [(1, "LR"), (2, "LR,LLR"), (3, "LR,LLR,LLLR")])
+def test_oracle_strings_are_correctly_rounded(tmp_path, n, classes):
+    payload = json.loads(run_cli(["oracle", "--n", str(n), "--classes", classes], tmp_path))
+    lams = [Fraction(rec["lambda_exact"]) for rec in payload["per_class"]]
+    with mpmath.workdps(60):
+        # total variation to the product Poisson law: 1 - sum of min(p, q)
+        overlap = mpmath.mpf(0)
+        for rec in payload["joint_law"]:
+            p = _mpf(rec["probability_exact"])
+            assert rec["probability"] == _rounded_12(p)
+            q = mpmath.fprod(
+                mpmath.exp(-_mpf(lam)) * _mpf(lam) ** k / math.factorial(k)
+                for lam, k in zip(lams, rec["counts"])
+            )
+            overlap += min(p, q)
+        assert payload["mtv_vs_product_poisson"] == _rounded_12(1 - overlap)
+        for rec in payload["per_class"]:
+            assert rec["mean"] == _rounded_12(_mpf(rec["mean_exact"]))
 
 
 def test_oracle_gates(capsys):

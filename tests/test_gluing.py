@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from randsurf import gluing
+from randsurf.cycles import count_cycles, count_vector
 from randsurf.exact import enumerate_all_gluings
 from randsurf.gluing import (
     SEED_BLOCK,
@@ -24,6 +25,7 @@ from randsurf.gluing import (
     triangle_of,
     vertex_permutation,
 )
+from randsurf.words import enumerate_classes_by_length
 
 
 def reference_topology(g: Gluing) -> TopologyReport:
@@ -178,6 +180,17 @@ def test_involution_validation():
         Gluing(1, np.array([0, 2, 1, 4, 3, 6, 99]))
     with pytest.raises(ValueError):  # not an integer array
         Gluing(1, np.array([0, 2, 1, 4, 3, 6, 5], dtype=float))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+def test_integer_partners_of_any_dtype_count_like_int64(dtype):
+    sampled = sample_uniform_gluing(10, seed=7, index=0)
+    g = Gluing(10, sampled.partner.astype(dtype))
+    assert g.partner.dtype == np.int64
+    classes = enumerate_classes_by_length(5)
+    assert count_vector(g, classes) == count_vector(sampled, classes)
+    assert count_cycles(g, 5) == count_cycles(sampled, 5)
+    assert topology(g) == topology(sampled)
 
 
 def test_pairs_round_trip(torus_gluing):

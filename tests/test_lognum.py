@@ -12,7 +12,7 @@ from randsurf.lognum import LogNumber
 def test_constructors():
     assert LogNumber(Fraction(1000)).log10 == pytest.approx(3.0)
     assert LogNumber(Fraction(1, 100)).log10 == pytest.approx(-2.0)
-    assert LogNumber(Fraction(5, 2)).to_float() == 2.5
+    assert float(LogNumber(Fraction(5, 2))) == 2.5
     assert LogNumber(7).value == Fraction(7)
     with pytest.raises(ValueError):
         LogNumber(Fraction(-1, 3))
@@ -23,7 +23,7 @@ def test_huge_integers_do_not_overflow():
     assert x.log10 == pytest.approx(400.0)
     y = LogNumber(Fraction(10**400, 10**398))
     assert y.log10 == pytest.approx(2.0)
-    assert x.to_float() == math.inf  # past double range, reported as inf
+    assert float(x) == math.inf  # past double range, reported as inf
 
 
 def test_log10_keeps_its_digits_when_both_logs_are_huge():
@@ -37,7 +37,6 @@ def test_zero_behaviour():
     zero, one = LogNumber(Fraction(0)), LogNumber(Fraction(1))
     assert zero < one
     assert zero.log10 == -math.inf
-    assert zero.to_float() == 0.0
     assert float(zero) == 0.0
 
 

@@ -211,7 +211,7 @@ def test_summary_shapes(lr, llr):
     assert pair.covariance_se > 0
     assert isinstance(pair.covariance, Fraction)
     assert report.bounds is not None
-    assert report.bounds.refined_le_main
+    assert report.bounds.refined <= report.bounds.main
     assert report.topology is not None
     assert 0 <= float(report.topology.connected_fraction) <= 1
     assert report.joint_support_size == len(tallies.joint)

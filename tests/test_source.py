@@ -155,7 +155,6 @@ RECORDS = {
     "randsurf.bounds.SigmaSet": ("s1", "s2", "s3", "s4"),
     "randsurf.bounds.BoundReport": (
         "half_count", "classes", "card", "m_w", "c_w", "sigma", "refined", "main",
-        "exact_refined", "exact_main",
     ),
     "randsurf.dists.PoissonReference": ("atoms", "tail_mass"),
     "randsurf.exact.ExactSystem": (
