@@ -1,44 +1,1 @@
 """Random gluings of ideal triangles and the bottom of their cycle spectrum."""
-
-from randsurf.words import (
-    WordClass,
-    WordMatrix,
-    TraceCensus,
-    canonicalize,
-    enumerate_classes_by_length,
-    enumerate_classes_by_trace,
-    hyperbolic_length,
-    matrix_of_word,
-    trace_of_word,
-)
-from randsurf.gluing import (
-    Gluing,
-    TopologyReport,
-    next_side,
-    sample_uniform_gluing,
-    step,
-    topology,
-)
-from randsurf.cycles import SpectrumReport, brute_force_counts, count_cycles, count_vector
-
-__all__ = [
-    "WordClass",
-    "WordMatrix",
-    "TraceCensus",
-    "canonicalize",
-    "enumerate_classes_by_length",
-    "enumerate_classes_by_trace",
-    "hyperbolic_length",
-    "matrix_of_word",
-    "trace_of_word",
-    "Gluing",
-    "TopologyReport",
-    "next_side",
-    "sample_uniform_gluing",
-    "step",
-    "topology",
-    "SpectrumReport",
-    "brute_force_counts",
-    "count_cycles",
-    "count_vector",
-]

@@ -78,9 +78,9 @@ class Gluing:
     """A perfect matching of the 6N side labels.
 
     partner[s] is the label matched with s; partner is an involution
-    without fixed points on 1..6N.  An integer partner array of another
-    dtype is stored as int64, the dtype the counters compute in (numpy
-    will not mix uint64 with int64 arithmetic).
+    without fixed points on 1..6N.  Any integer sequence is stored as an
+    int64 array, the dtype the counters compute in (numpy will not mix
+    uint64 with int64); anything else raises ValueError.
     """
 
     half_count: int
@@ -89,16 +89,17 @@ class Gluing:
     def __post_init__(self):
         n = self.half_count
         _check_half_count(n)
-        p = self.partner
-        if p.dtype.kind in "iu" and p.dtype != np.int64:
-            p = p.astype(np.int64)
-            object.__setattr__(self, "partner", p)
+        p = np.asarray(self.partner)
+        if p.dtype.kind not in "iu":
+            raise ValueError("partner must be an integer array")
+        p = p.astype(np.int64, copy=False)
+        object.__setattr__(self, "partner", p)
         if p.shape != (6 * n + 1,):
             raise ValueError(f"partner array must have length {6 * n + 1}")
         labels = np.arange(6 * n + 1)
         try:
             bad = p[0] != 0 or (p[1:] == labels[1:]).any() or (p[p] != labels).any()
-        except IndexError:  # entries out of range or not integers
+        except IndexError:  # entries out of range
             bad = True
         if bad:
             raise ValueError("partner must be a fixed-point-free involution on labels")

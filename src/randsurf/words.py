@@ -81,18 +81,6 @@ def trace_of_word(word: str) -> int:
     return matrix_of_word(word).trace
 
 
-def hyperbolic_length(word: str) -> tuple[float, bool]:
-    """Translation length 2*arccosh(tr/2) and a parabolic flag.
-
-    The flag is set exactly when the trace is 2 (single-letter words),
-    in which case the length is reported as 0.0.
-    """
-    t = trace_of_word(word)
-    if t == 2:
-        return 0.0, True
-    return _length_from_trace(t), False
-
-
 def _length_from_trace(t: int) -> float:
     # traces can exceed float range for very long words, so fall back
     # to the log form 2*log(x + sqrt(x^2-1)) evaluated stably

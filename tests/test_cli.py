@@ -187,8 +187,11 @@ def _rounded_12(x) -> str:
     return format(float(mpmath.nstr(x, 12)), ".12g")
 
 
+# (72, 6) and (10**11, 4) sit next to a 12-digit boundary: rounding the
+# double of main at N = 72, or of LR's sigma4 at N = 10**11, moves the last digit
 @pytest.mark.parametrize(
-    "n, trace", [(10, 8), (1_000_000, 6), (6, 4), (1_000_000_000, 8)]
+    "n, trace",
+    [(10, 8), (1_000_000, 6), (6, 4), (1_000_000_000, 8), (72, 6), (10**11, 4)],
 )
 def test_bound_strings_are_correctly_rounded(tmp_path, n, trace):
     payload = json.loads(

@@ -178,8 +178,21 @@ def test_involution_validation():
         Gluing.from_pairs(1, [(1, 2), (1, 3), (5, 6)])
     with pytest.raises(ValueError):  # partner out of range
         Gluing(1, np.array([0, 2, 1, 4, 3, 6, 99]))
-    with pytest.raises(ValueError):  # not an integer array
-        Gluing(1, np.array([0, 2, 1, 4, 3, 6, 5], dtype=float))
+    for not_integers in (
+        np.array([0, 2, 1, 4, 3, 6, 5], dtype=float),
+        [0.0, 2.0, 1.0, 4.0, 3.0, 6.0, 5.0],
+        [0, 2, 1, 4, 3, 6, "5"],
+        [False, True, False, True, False, True, False],
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            Gluing(1, not_integers)
+
+
+@pytest.mark.parametrize("seq", [[0, 2, 1, 4, 3, 6, 5], (0, 2, 1, 4, 3, 6, 5)])
+def test_integer_sequences_are_partner_arrays(seq):
+    g = Gluing(1, seq)
+    assert g.partner.dtype == np.int64
+    assert g == Gluing.from_pairs(1, [(1, 2), (3, 4), (5, 6)])
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])

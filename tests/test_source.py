@@ -66,6 +66,17 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert _fresh_run(code).split() == ["False", "False"]
 
 
+def test_the_rational_modules_import_without_numpy():
+    # words, log numbers, laws and the Chen-Stein bounds are exact
+    # arithmetic; the package root re-exports nothing that would pull numpy in
+    code = (
+        "import sys\n"
+        "import randsurf.words, randsurf.lognum, randsurf.dists, randsurf.bounds\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_run(code).split() == ["False"]
+
+
 # A stand-in for multiprocessing.Pool that runs starmap in-process and
 # starts no process; on start it prints whether the parent holds numpy.random.
 _RECORDING_POOL = (

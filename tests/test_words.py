@@ -14,7 +14,6 @@ from randsurf.words import (
     check_word,
     enumerate_classes_by_length,
     enumerate_classes_by_trace,
-    hyperbolic_length,
     is_primitive,
     matrix_of_word,
     mirror,
@@ -50,8 +49,8 @@ def test_pure_powers_are_parabolic():
     for m in range(1, 8):
         assert trace_of_word("L" * m) == 2
         assert trace_of_word("R" * m) == 2
-        length, parabolic = hyperbolic_length("L" * m)
-        assert parabolic and length == 0.0
+        cls = canonicalize("L" * m)
+        assert cls.parabolic and cls.length == 0.0
 
 
 @given(words_st)
@@ -69,9 +68,9 @@ def test_mixed_word_trace_grows_with_length(word):
 
 
 def test_geodesic_length_golden():
-    length, parabolic = hyperbolic_length("LR")
-    assert not parabolic
-    assert length == pytest.approx(2.0 * math.acosh(1.5), abs=1e-14)
+    cls = canonicalize("LR")
+    assert not cls.parabolic
+    assert cls.length == pytest.approx(2.0 * math.acosh(1.5), abs=1e-14)
 
 
 def test_length_monotone_in_trace():
