@@ -21,12 +21,18 @@ Importing this module loads the words, sampler, counter, Monte Carlo
 and bound code.  The exact oracle (randsurf.exact), the worker pool
 (multiprocessing) and the csv writer load only in the commands that
 run them.
+
+``main`` may be called again and again in one process, as the benchmark
+and library sweeps do.  It builds its parser once (``build_parser`` is
+cached) and reads the class censuses that randsurf.words caches, so a
+warm command pays for its own work only.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import io
 import json
 import sys
@@ -158,8 +164,8 @@ def _resolve_classes(
     if getattr(args, "classes", None) is not None:
         return _parse_word_list(parser, args.classes)
     if getattr(args, "max_word_len", None) is not None:
-        return tuple(_or_usage(parser, enumerate_classes_by_length, args.max_word_len))
-    return tuple(_or_usage(parser, enumerate_classes_by_trace, args.max_trace).classes)
+        return _or_usage(parser, enumerate_classes_by_length, args.max_word_len)
+    return _or_usage(parser, enumerate_classes_by_trace, args.max_trace).classes
 
 
 def _add_selection(sub: argparse.ArgumentParser, with_length: bool) -> None:
@@ -354,7 +360,14 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 # parser
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The randsurf parser, built on the first call.
+
+    Every later call returns the same parser, shared by every caller in
+    the process: parse with it, but do not mutate it (no added
+    arguments, defaults or subcommands).  Parsing leaves it unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="randsurf",
         description="length spectrum statistics of random ideal-triangle gluings",

@@ -210,7 +210,7 @@ def _binary_necklaces(n: int, max_trace: int | None = None) -> Iterator[str]:
     yield from gen(1, 1)
 
 
-def _canonical_necklaces(m_max: int, max_trace: int | None = None) -> list[WordClass]:
+def _canonical_necklaces(m_max: int, max_trace: int | None = None) -> tuple[WordClass, ...]:
     """Classes of word length <= m_max (and trace <= max_trace), sorted."""
     out = []
     for m in range(1, m_max + 1):
@@ -219,15 +219,18 @@ def _canonical_necklaces(m_max: int, max_trace: int | None = None) -> list[WordC
             # each class holds one or two necklaces, keep the smaller
             if cls.canonical == neck:
                 out.append(cls)
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
-def enumerate_classes_by_length(m_max: int) -> list[WordClass]:
+# Both censuses are cached; a call that raises caches nothing.  The length
+# census grows about as 2^m / m, so only the last few lengths are kept.
+@lru_cache(maxsize=8)
+def enumerate_classes_by_length(m_max: int) -> tuple[WordClass, ...]:
     """All classes with word length <= m_max, sorted by (length, canonical).
 
     Parabolic classes are included; use the trace census if only
-    trace >= 3 classes are wanted.
+    trace >= 3 classes are wanted.  The result is cached: a repeated
+    call returns the same tuple.
     """
     if not 1 <= m_max <= MAX_ENUM_LENGTH:
         raise ValueError(f"m_max must be in 1..{MAX_ENUM_LENGTH}, got {m_max}")
@@ -254,12 +257,15 @@ class TraceCensus:
         return tuple(c.canonical for c in self.classes)
 
 
+# one census per valid k, the largest (k = 25) of 59 classes
+@lru_cache(maxsize=None)
 def enumerate_classes_by_trace(k: int) -> TraceCensus:
     """Census of classes with 3 <= trace <= k.
 
     A mixed word of length m has trace at least m + 1, so it is enough
     to enumerate lengths up to k - 1, and necklace prefixes of trace
-    above k are not extended.  Parabolic classes never qualify.
+    above k are not extended.  Parabolic classes never qualify.  The
+    result is cached: a repeated call returns the same frozen census.
     """
     if not MIN_TRACE <= k <= MAX_TRACE:
         raise ValueError(f"max trace must be in {MIN_TRACE}..{MAX_TRACE}, got {k}")

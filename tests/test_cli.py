@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -7,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from randsurf import cli
 from randsurf.bounds import _class_sigmas, refined_mtv_bound, theorem_bound_value
 from randsurf.cli import _number, main
 from randsurf.lognum import LogNumber
@@ -327,3 +330,51 @@ def test_reports_print_to_stdout_by_default(args, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     if fmt == "json":
         assert json.loads(printed)["command"] == args[0]
+
+
+# one of each command, a CSV report and a usage error, as a sweep would run them
+WARM_SEQUENCE = [
+    ["words", "--max-len", "3"],
+    ["stats", "--n", "2", "--samples", "20", "--classes", "LR"],
+    ["stats", "--n", "2", "--samples", "20", "--classes", "LR", "--format", "csv"],
+    ["bound", "--n", "2", "--classes", "LLR"],  # usage error: m_W = 3 > N
+    ["bound", "--n", "50", "--max-trace", "5"],
+    ["oracle", "--n", "1", "--max-trace", "4"],
+]
+
+
+def _cold(argv, out, env) -> tuple[int, bytes, str]:
+    """Exit code, report bytes and stderr of a fresh ``python -m randsurf.cli``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "randsurf.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, out.read_bytes() if out.exists() else b"", done.stderr
+
+
+def _warm(argv, out, capsys) -> tuple[int, bytes, str]:
+    """The same, from a ``main`` call in this process."""
+    capsys.readouterr()
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.read_bytes() if out.exists() else b"", capsys.readouterr().err
+
+
+def test_warm_commands_equal_cold_ones_and_share_one_parser(tmp_path, capsys, monkeypatch):
+    # the usage line wraps at the terminal width, here and in the fresh runs
+    monkeypatch.setenv("COLUMNS", "80")
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    cold = [_cold(argv, tmp_path / f"cold{i}", env) for i, argv in enumerate(WARM_SEQUENCE)]
+    assert [code for code, _, _ in cold] == [0, 0, 0, 2, 0, 0]
+    assert cold[3][2].startswith("usage: randsurf bound ")
+    cli.build_parser.cache_clear()
+    for round_ in range(2):
+        for i, argv in enumerate(WARM_SEQUENCE):
+            warm = _warm(argv, tmp_path / f"warm{round_}_{i}", capsys)
+            assert warm == cold[i], (round_, argv)
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(WARM_SEQUENCE) - 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -171,12 +172,37 @@ def test_census_at_the_largest_trace():
 
 
 def test_enumeration_guards():
-    with pytest.raises(ValueError):
-        enumerate_classes_by_length(0)
-    with pytest.raises(ValueError):
-        enumerate_classes_by_length(MAX_ENUM_LENGTH + 1)
-    with pytest.raises(ValueError):
-        enumerate_classes_by_trace(2)
+    # the censuses are cached; a refused bound is refused on every call
+    for _ in range(2):
+        for m in (0, MAX_ENUM_LENGTH + 1):
+            with pytest.raises(ValueError):
+                enumerate_classes_by_length(m)
+        for k in (MIN_TRACE - 1, MAX_TRACE + 1):
+            with pytest.raises(ValueError):
+                enumerate_classes_by_trace(k)
+    # a float bound fails as it would uncached, not as the cached int it equals
+    enumerate_classes_by_trace(4)
+    enumerate_classes_by_length(4)
+    with pytest.raises(TypeError):
+        enumerate_classes_by_trace(4.0)
+    with pytest.raises(TypeError):
+        enumerate_classes_by_length(4.0)
+
+
+@pytest.mark.parametrize("k", [MIN_TRACE, 7, MAX_TRACE])
+def test_a_repeated_trace_census_is_the_same_frozen_object(k):
+    census = enumerate_classes_by_trace(k)
+    assert enumerate_classes_by_trace(k) is census
+    assert type(census.classes) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        census.classes = ()
+
+
+@pytest.mark.parametrize("m", [1, 6, 12])
+def test_a_repeated_length_census_is_the_same_tuple(m):
+    classes = enumerate_classes_by_length(m)
+    assert type(classes) is tuple
+    assert enumerate_classes_by_length(m) is classes
 
 
 def test_class_ordering_and_lambda():
