@@ -345,13 +345,6 @@ def sampled_block(n: int, seed: int, index: int) -> np.ndarray:
     return _partner_block(n, seed, index // block_rows(n))
 
 
-def step(g: Gluing, side: int, turn: str) -> int:
-    """Exit through the turn-side of the current triangle and cross over."""
-    if not 1 <= side <= 6 * g.half_count:
-        raise ValueError(f"side out of range: {side}")
-    return int(g.partner[next_side(side, turn)])
-
-
 def vertex_permutation(g: Gluing) -> np.ndarray:
     """Permutation whose orbits are the cusps: cross over, then turn Left."""
     left, _ = _next_arrays(g.half_count)
@@ -394,11 +387,8 @@ def topology(g: Gluing) -> TopologyReport:
     rounds over the 6N + 1 labels and about 10 over some 700 nodes,
     instead of 13 rounds over all the labels.
 
-    A cusp's degree is the size of its orbit: one bincount of the window
-    minima, whose values are spread over the runs, gives each run its
-    size, and the sizes of a cycle's runs are summed onto its least
-    node.  A bincount of the orbit minima themselves would pile its
-    increments onto the few cusp counters.
+    A cusp's degree is the size of its orbit: one bincount of the orbit
+    minima gives it at the cusp's least label.
 
     Components come from hook-and-shortcut rounds over the triangle
     adjacency, in the style of Shiloach-Vishkin: every round shortcuts
@@ -409,9 +399,8 @@ def topology(g: Gluing) -> TopologyReport:
     each triangle's parent is the smallest such triangle over its three
     corners.  That parent is at most the triangle itself and shares a
     cusp with it, so it lies in the same component; on a sampled
-    gluing the hooks then find little left to merge.  Every side lies
-    at exactly one cusp, so a component's side count, three times its
-    triangle count, is the sum of its cusps' degrees.
+    gluing the hooks then find little left to merge.  One bincount of
+    the forest roots gives each component's triangle count.
 
     Gluings are kept even when the surface is disconnected; the genus
     is then the sum of the per-component genera, each obtained from the
@@ -457,14 +446,10 @@ def topology(g: Gluing) -> TopologyReport:
         least = np.minimum(least, least[succ])
         succ = succ[succ]
     node[heads] = least
-    # run sizes, summed onto each cycle's least node; a settled orbit's
-    # minimum counts the whole orbit already
-    degree = np.bincount(low)
-    run_sizes = degree[heads]
-    degree[heads] = 0
-    np.add.at(degree, least, run_sizes)
     low = np.take(node, low, out=spare, mode="clip")
-    cusp_reps = np.flatnonzero(low == labels)[1:]
+    # a cusp's degree sits at its least label; label 0 is an orbit of its own
+    degree = np.bincount(low)
+    cusp_reps = np.flatnonzero(degree[1:]) + 1
     degrees = degree[cusp_reps]
     del labels, node, degree
 
@@ -492,12 +477,9 @@ def topology(g: Gluing) -> TopologyReport:
         np.minimum.at(root, root[1:], hook)
 
     # every component has a cusp, so the roots of the cusps are all the roots
-    cusp_roots = root[(cusp_reps + 2) // 3]
-    cusps_in = np.bincount(cusp_roots)
-    sides_in = np.zeros_like(cusps_in)
-    np.add.at(sides_in, cusp_roots, degrees)
+    cusps_in = np.bincount(root[(cusp_reps + 2) // 3])
     is_root = cusps_in > 0
-    cusps_in, triangles_in = cusps_in[is_root], sides_in[is_root] // 3
+    cusps_in, triangles_in = cusps_in[is_root], np.bincount(root[1:])[is_root]
     odd = triangles_in % 2 == 1
     if odd.any():
         tri = int(triangles_in[odd][0])

@@ -128,10 +128,11 @@ class WordClass:
     lam          class_size / (2 * word_length), the Poisson rate of
                  the class in the large-N limit
 
-    Equality and hashing cover every field but lam, which the others
-    determine, so a class built with a wrong size or trace is not the
-    class of its word.  Sorting is by (word_length, canonical), which
-    no two classes share.
+    Equality covers every field but lam, which the others determine, so
+    a class built with a wrong size or trace is not the class of its
+    word.  The hash is the canonical word's, which equal classes share;
+    str caches it, so hashing a class does not rehash its fields.
+    Sorting is by (word_length, canonical), which no two classes share.
     """
 
     word_length: int
@@ -139,6 +140,9 @@ class WordClass:
     class_size: int
     trace: int
     lam: Fraction = field(compare=False)
+
+    def __hash__(self) -> int:
+        return hash(self.canonical)
 
     @property
     def parabolic(self) -> bool:

@@ -20,7 +20,6 @@ from randsurf.gluing import (
     next_side,
     sample_uniform_gluing,
     sampled_block,
-    step,
     topology,
     triangle_of,
     vertex_permutation,
@@ -223,18 +222,6 @@ def test_gluings_compare_and_hash_by_value(torus_gluing, sphere_gluing):
     assert len({sampled, narrow, same, torus_gluing, sphere_gluing}) == 3
     # other types never compare equal
     assert torus_gluing != torus_gluing.partner.tolist()
-
-
-def test_step_goldens(torus_gluing, sphere_gluing):
-    assert step(torus_gluing, 1, "L") == 5
-    assert step(sphere_gluing, 1, "L") == 1
-
-
-def test_step_is_a_bijection_for_each_turn():
-    g = sample_uniform_gluing(7, seed=5, index=0)
-    for turn in "LR":
-        images = {step(g, s, turn) for s in range(1, 43)}
-        assert images == set(range(1, 43))
 
 
 def test_sampling_is_deterministic_and_index_sensitive():

@@ -212,3 +212,13 @@ def test_class_ordering_and_lambda():
     assert lr.lam == Fraction(2, 4)
     assert llr.lam == Fraction(6, 6)
     assert llr.class_size == 6
+
+
+def test_equal_classes_hash_equal_and_a_wrong_size_stays_apart():
+    lr = canonicalize("LR")
+    same = canonicalize("RL")
+    assert same == lr and same is not lr
+    assert hash(same) == hash(lr)
+    wrong = dataclasses.replace(lr, class_size=1)
+    assert wrong != lr
+    assert len({lr, wrong, same}) == 2
