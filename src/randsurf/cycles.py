@@ -1,13 +1,13 @@
 """Counting closed traversal cycles of a gluing, grouped by word class.
 
 A traversal cycle of length k is a cyclically closed sequence of
-(side, turn) steps: from side s_j we exit through e_j =
-next_side(s_j, turn_j) and enter s_{j+1} = partner(e_j).  Its word is
-the turn sequence.  Two cycles are the same when one is a cyclic
-rotation of the other's (entry, exit) pair sequence, or of its
-reversal (pairs reversed in order and swapped componentwise, which
-flips every turn).  The count Z_[w] is the number of cycle classes
-whose word lies in the word class [w].
+(side, turn) steps: from side s_j we exit through the side e_j that
+turn_j reaches in the same triangle (gluing's turn tables) and enter
+s_{j+1} = partner(e_j).  Its word is the turn sequence.  Two cycles
+are the same when one is a cyclic rotation of the other's (entry,
+exit) pair sequence, or of its reversal (pairs reversed in order and
+swapped componentwise, which flips every turn).  The count Z_[w] is
+the number of cycle classes whose word lies in the word class [w].
 
 So Z_[w] is the number of orbits of the dihedral group of order 2k on
 the closed pair sequences with a word in [w], and Burnside's lemma

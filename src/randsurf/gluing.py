@@ -33,34 +33,19 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-TURNS = ("L", "R")
 
-
-def _check_half_count(n: int) -> None:
+def _check_half_count(n: int) -> int:
+    """N as an int; anything but an integer >= 1 raises."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-
-
-def triangle_of(side: int) -> int:
-    return (side + 2) // 3
-
-
-def next_side(side: int, turn: str) -> int:
-    """Neighbouring side label inside the same triangle."""
-    if turn not in TURNS:
-        raise ValueError(f"turn must be 'L' or 'R', got {turn!r}")
-    base = (side - 1) // 3 * 3
-    off = (side - 1) % 3
-    if turn == "L":
-        off = (off + 1) % 3
-    else:
-        off = (off + 2) % 3
-    return base + off + 1
+    return n
 
 
 @lru_cache(maxsize=64)
 def _next_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """next_side as label-indexed arrays (slot 0 is a dummy).
+    """The turn tables: left[s] and right[s] are the sides that a Left and
+    a Right turn from side s exit through (slot 0 is a dummy).
 
     Cached per N and shared by every caller, hence read-only.
     """
@@ -80,15 +65,16 @@ class Gluing:
     partner[s] is the label matched with s; partner is an involution
     without fixed points on 1..6N.  Any integer sequence is stored as an
     int64 array, the dtype the counters compute in (numpy will not mix
-    uint64 with int64); anything else raises ValueError.
+    uint64 with int64); anything else raises ValueError.  half_count is
+    stored as an int; a non-integer raises TypeError.
     """
 
     half_count: int
     partner: np.ndarray
 
     def __post_init__(self):
-        n = self.half_count
-        _check_half_count(n)
+        n = _check_half_count(self.half_count)
+        object.__setattr__(self, "half_count", n)
         p = np.asarray(self.partner)
         if p.dtype.kind not in "iu":
             raise ValueError("partner must be an integer array")
@@ -106,7 +92,7 @@ class Gluing:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Gluing":
-        _check_half_count(n)
+        n = _check_half_count(n)
         partner = np.zeros(6 * n + 1, dtype=np.int64)
         for a, b in pairs:
             if not (1 <= a <= 6 * n and 1 <= b <= 6 * n):
@@ -299,13 +285,13 @@ def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
     return partner
 
 
-def _checked_key(n: int, seed: int, index: int) -> tuple[int, int]:
-    """(seed, index) as ints, for a valid N and nonnegative seed and index."""
-    _check_half_count(n)
+def _checked_key(n: int, seed: int, index: int) -> tuple[int, int, int]:
+    """(N, seed, index) as ints, for a valid N and nonnegative seed and index."""
+    n = _check_half_count(n)
     seed, index = operator.index(seed), operator.index(index)
     if seed < 0 or index < 0:
         raise ValueError("seed and index must be nonnegative integers")
-    return seed, index
+    return n, seed, index
 
 
 def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
@@ -326,7 +312,7 @@ def sample_uniform_gluing(n: int, seed: int, index: int) -> Gluing:
     into its pool at once.  Every row costs one Generator.shuffle.  The
     partner array is int64 and read-only.
     """
-    seed, index = _checked_key(n, seed, index)
+    n, seed, index = _checked_key(n, seed, index)
     block, row = divmod(index, block_rows(n))
     return Gluing._trusted(n, _partner_block(n, seed, block)[row])
 
@@ -341,7 +327,7 @@ def sampled_block(n: int, seed: int, index: int) -> np.ndarray:
     built once, by whichever call reaches it first.  The arguments are
     checked as sample_uniform_gluing checks them.
     """
-    seed, index = _checked_key(n, seed, index)
+    n, seed, index = _checked_key(n, seed, index)
     return _partner_block(n, seed, index // block_rows(n))
 
 

@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple, Sequence
 
 from randsurf.bounds import BoundReport, bound_report
@@ -76,6 +76,9 @@ class ExperimentPlan:
     with_topology: bool = True
 
     def __post_init__(self):
+        # a float raises TypeError here; a numpy integer is stored as int
+        for name in ("half_count", "samples", "seed", "workers"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.half_count < 1 or self.samples < 1 or self.seed < 0:
             raise ValueError("need N >= 1, samples >= 1, seed >= 0")
         if not self.classes:

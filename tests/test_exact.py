@@ -15,7 +15,7 @@ from randsurf.exact import (
     exact_joint_distribution,
     matching_count,
 )
-from randsurf.gluing import Gluing, block_rows, next_side, topology, triangle_of
+from randsurf.gluing import Gluing, _next_arrays, block_rows, topology
 from randsurf.words import canonicalize, enumerate_classes_by_length
 
 # every class of length <= 6, proper powers (LL, LRLR, LLLL, LRLRLR, ...) included
@@ -212,9 +212,10 @@ def containment_probability(sides: tuple[int, ...], word: str, n: int) -> Fracti
     forced pairs, or 0 when a forced pair is degenerate or two clash on
     a label.
     """
+    turns = dict(zip("LR", _next_arrays(n)))
     forced = set()
     for j, turn in enumerate(word):
-        x, y = next_side(sides[j], turn), sides[(j + 1) % len(word)]
+        x, y = int(turns[turn][sides[j]]), sides[(j + 1) % len(word)]
         if x == y:
             return Fraction(0)
         forced.add((min(x, y), max(x, y)))
@@ -238,7 +239,7 @@ def containment_mean(word: str, n: int) -> tuple[Fraction, int]:
     distinct = 0
     for sides in product(range(1, 6 * n + 1), repeat=k):
         prob = containment_probability(sides, word, n)
-        if len({triangle_of(s) for s in sides}) == k:
+        if len({(s + 2) // 3 for s in sides}) == k:
             assert prob == p_k_n(k, n), sides
             distinct += 1
         total += prob

@@ -17,11 +17,9 @@ from randsurf.gluing import (
     _next_arrays,
     _seed_block,
     block_rows,
-    next_side,
     sample_uniform_gluing,
     sampled_block,
     topology,
-    triangle_of,
     vertex_permutation,
 )
 from randsurf.words import enumerate_classes_by_length
@@ -45,8 +43,8 @@ def reference_topology(g: Gluing) -> TopologyReport:
         return x
 
     for s in range(1, 6 * n + 1):
-        a = find(triangle_of(s))
-        b = find(triangle_of(int(g.partner[s])))
+        a = find((s + 2) // 3)
+        b = find((int(g.partner[s]) + 2) // 3)
         if a != b:
             root[a] = b
 
@@ -65,7 +63,7 @@ def reference_topology(g: Gluing) -> TopologyReport:
             size += 1
             t = int(v[t])
         degrees.append(size)
-        cusps_in[find(triangle_of(rep))] += 1
+        cusps_in[find((rep + 2) // 3)] += 1
 
     total_genus = 0
     for r, tri in triangles_in.items():
@@ -161,11 +159,18 @@ def short_cusp_gluings() -> list[Gluing]:
 
 
 def test_side_navigation():
-    assert triangle_of(1) == 1 and triangle_of(3) == 1 and triangle_of(4) == 2
-    # Left walks forward around the triangle, Right backward
-    assert next_side(1, "L") == 2 and next_side(2, "L") == 3 and next_side(3, "L") == 1
-    assert next_side(1, "R") == 3 and next_side(3, "R") == 2 and next_side(2, "R") == 1
-    assert next_side(4, "L") == 5 and next_side(6, "L") == 4
+    # Left walks forward around each triangle, Right backward
+    left, right = _next_arrays(2)
+    assert left.tolist() == [0, 2, 3, 1, 5, 6, 4, 8, 9, 7, 11, 12, 10]
+    assert right.tolist() == [0, 3, 1, 2, 6, 4, 5, 9, 7, 8, 12, 10, 11]
+    for n in range(1, 6):
+        left, right = _next_arrays(n)
+        labels = np.arange(6 * n + 1)
+        # the turns are inverse to each other, and three Lefts go round once
+        assert np.array_equal(left[right], labels)
+        assert np.array_equal(left[left[left]], labels)
+        # every turn stays in its triangle
+        assert np.array_equal((left + 2) // 3, (labels + 2) // 3)
 
 
 def test_involution_validation():
@@ -252,10 +257,27 @@ def test_sampled_partners_are_valid_gluings(monkeypatch, n):
 def test_sampling_guards():
     # a sample and the block that holds it take the same arguments
     bad = [(0, 1, 0), (1, -1, 0), (1, 1, -1), (10, 0, -5), (10, -3, 0), (0, 0, 0)]
+    not_integers = [(10.0, 0, 0), (10, 0.5, 0), (10, 0, 2.0)]
     for sample in (sample_uniform_gluing, sampled_block):
         for n, seed, index in bad:
             with pytest.raises(ValueError):
                 sample(n, seed, index)
+        for n, seed, index in not_integers:
+            with pytest.raises(TypeError):
+                sample(n, seed, index)
+    # numpy integers are integers
+    g = sample_uniform_gluing(np.int64(10), np.uint32(0), np.int8(3))
+    assert type(g.half_count) is int
+    assert g == sample_uniform_gluing(10, 0, 3)
+
+
+def test_half_count_is_an_int():
+    partner = [0, 2, 1, 4, 3, 6, 5]
+    for not_an_integer in (1.0, np.float64(1.0), "1"):
+        with pytest.raises(TypeError):
+            Gluing(not_an_integer, partner)
+    g = Gluing(np.int64(1), partner)
+    assert type(g.half_count) is int and g == Gluing(1, partner)
 
 
 # the pool has 4 words: 2^96 + 7 fills it exactly, and 2^128 + 1 and

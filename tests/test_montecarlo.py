@@ -26,6 +26,14 @@ def test_plan_validation(lr):
     with pytest.raises(ValueError, match="duplicate classes"):
         ExperimentPlan(half_count=1, classes=(lr, lr), samples=10, seed=0)
 
+    # integers only; a numpy integer is stored as int
+    args = dict(half_count=10, classes=(lr,), samples=5, seed=1, workers=1)
+    for field in ("half_count", "samples", "seed", "workers"):
+        with pytest.raises(TypeError):
+            ExperimentPlan(**{**args, field: 2.0})
+        plan = ExperimentPlan(**{**args, field: np.int64(2)})
+        assert type(getattr(plan, field)) is int and getattr(plan, field) == 2
+
 
 def test_tallies_match_a_direct_loop(lr, llr):
     plan = ExperimentPlan(
