@@ -27,6 +27,7 @@ counter blocks of the same number of rows.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -65,8 +66,8 @@ class Gluing:
     partner[s] is the label matched with s; partner is an involution
     without fixed points on 1..6N.  Any integer sequence is stored as an
     int64 array, the dtype the counters compute in (numpy will not mix
-    uint64 with int64); anything else raises ValueError.  half_count is
-    stored as an int; a non-integer raises TypeError.
+    uint64 with int64); anything else raises ValueError.  half_count, and
+    each label given to from_pairs, must be an integer, else TypeError.
     """
 
     half_count: int
@@ -95,6 +96,7 @@ class Gluing:
         n = _check_half_count(n)
         partner = np.zeros(6 * n + 1, dtype=np.int64)
         for a, b in pairs:
+            a, b = operator.index(a), operator.index(b)
             if not (1 <= a <= 6 * n and 1 <= b <= 6 * n):
                 raise ValueError(f"labels out of range: ({a}, {b})")
             partner[a] = b
@@ -386,7 +388,8 @@ def topology(g: Gluing) -> TopologyReport:
     corners.  That parent is at most the triangle itself and shares a
     cusp with it, so it lies in the same component; on a sampled
     gluing the hooks then find little left to merge.  One bincount of
-    the forest roots gives each component's triangle count.
+    the forest roots gives each component's triangle count; the checks
+    and the genus run on Python ints, by ascending root.
 
     Gluings are kept even when the surface is disconnected; the genus
     is then the sum of the per-component genera, each obtained from the
@@ -463,27 +466,24 @@ def topology(g: Gluing) -> TopologyReport:
         np.minimum.at(root, root[1:], hook)
 
     # every component has a cusp, so the roots of the cusps are all the roots
-    cusps_in = np.bincount(root[(cusp_reps + 2) // 3])
-    is_root = cusps_in > 0
-    cusps_in, triangles_in = cusps_in[is_root], np.bincount(root[1:])[is_root]
-    odd = triangles_in % 2 == 1
-    if odd.any():
-        tri = int(triangles_in[odd][0])
-        raise RuntimeError(f"component with {tri} triangles has an odd side count")
-    chi = cusps_in - triangles_in // 2  # V - 3T/2 + T
-    bad = (chi > 2) | (chi % 2 == 1)
-    if bad.any():
-        raise RuntimeError(
-            f"component Euler characteristic {int(chi[bad][0])} is not even and <= 2"
-        )
+    cusps_in = Counter(root[(cusp_reps + 2) // 3].tolist())
+    roots = sorted(cusps_in)
+    twice_genus = 0
+    for r, tri in zip(roots, np.bincount(root[1:])[roots].tolist()):
+        if tri % 2:
+            raise RuntimeError(f"component with {tri} triangles has an odd side count")
+        chi = cusps_in[r] - tri // 2  # V - 3T/2 + T
+        if chi > 2 or chi % 2:
+            raise RuntimeError(
+                f"component Euler characteristic {chi} is not even and <= 2"
+            )
+        twice_genus += 2 - chi
 
-    components = len(chi)
-    cusp_count = len(cusp_reps)
     return TopologyReport(
-        connected=components == 1,
-        component_count=components,
-        cusp_count=cusp_count,
-        euler_characteristic=cusp_count - n,  # V - E + F = n - 3N + 2N
-        total_genus=int((2 - chi).sum()) // 2,
-        cusp_degrees=tuple(np.sort(degrees).tolist()),
+        connected=len(roots) == 1,
+        component_count=len(roots),
+        cusp_count=len(cusp_reps),
+        euler_characteristic=len(cusp_reps) - n,  # V - E + F = n - 3N + 2N
+        total_genus=twice_genus // 2,
+        cusp_degrees=tuple(sorted(degrees.tolist())),
     )

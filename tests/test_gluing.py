@@ -280,6 +280,18 @@ def test_half_count_is_an_int():
     assert type(g.half_count) is int and g == Gluing(1, partner)
 
 
+def test_pair_labels_are_ints():
+    torus = Gluing.from_pairs(1, [(1, 4), (2, 5), (3, 6)])
+    for not_an_integer in ((1.5, 4), (1.0, 4), (1, np.float64(4.0)), ("1", 4)):
+        with pytest.raises(TypeError):
+            Gluing.from_pairs(1, [not_an_integer, (2, 5), (3, 6)])
+    # True is the label 1, not a boolean mask over the partner array
+    assert Gluing.from_pairs(1, [(True, 4), (2, 5), (3, 6)]) == torus
+    assert Gluing.from_pairs(1, [(np.int64(1), np.uint8(4)), (2, 5), (3, 6)]) == torus
+    with pytest.raises(ValueError, match=r"labels out of range: \(7, 1\)"):
+        Gluing.from_pairs(1, [(np.int32(7), 1), (2, 5), (3, 6)])
+
+
 # the pool has 4 words: 2^96 + 7 fills it exactly, and 2^128 + 1 and
 # 2^200 + 3 have five and seven seed words, mixed in after the pool's
 # set-up; indices from 2^32 on have a two-word spawn key
@@ -575,6 +587,24 @@ def test_topology_invariant_errors_raise(torus_gluing, monkeypatch):
     monkeypatch.setattr("randsurf.gluing.vertex_permutation", lambda g: np.arange(7))
     with pytest.raises(RuntimeError, match="Euler characteristic 5"):
         topology(torus_gluing)
+
+
+def test_topology_errors_name_the_component_of_least_root(monkeypatch):
+    # two components break one invariant each; the one whose root, its least
+    # triangle, is smaller is named, even where it is the larger component.
+    # First triangles 1-3 and triangle 4, each with one side glued to itself
+    broken = Gluing._trusted(2, np.array([0, 4, 3, 2, 1, 7, 6, 5, 9, 8, 11, 10, 12]))
+    with pytest.raises(RuntimeError, match="component with 3 triangles"):
+        topology(broken)
+    # triangles 1-4 and 5-6; with every label a cusp, chi = 5T/2 is 10 and 5
+    two = Gluing.from_pairs(
+        3,
+        [(1, 4), (2, 7), (3, 10), (5, 6), (8, 9), (11, 12), (13, 16), (14, 17), (15, 18)],
+    )
+    assert topology(two).component_count == 2
+    monkeypatch.setattr("randsurf.gluing.vertex_permutation", lambda g: np.arange(19))
+    with pytest.raises(RuntimeError, match="Euler characteristic 10 "):
+        topology(two)
 
 
 def test_connectivity_becomes_typical():
