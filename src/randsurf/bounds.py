@@ -34,7 +34,8 @@ over a common denominator.  bound_report returns these exact values
 only; how a report prints them (log views, clamps, which ones also
 print exactly) is the CLI's business.  The functions' log mode
 (LogNumber) is a view of the same values, not a second evaluation.
-Bounds only hold under m_W <= N, enforced as a hard error.
+W and N pass words.check_classes and check_half_count, so an empty W
+is refused, and the bounds only hold under m_W <= N, a hard error.
 """
 
 from __future__ import annotations
@@ -43,17 +44,19 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, perm
-from operator import mul
+from operator import index, mul
 from typing import Callable, NamedTuple, Sequence
 
 from randsurf.lognum import LogNumber
-from randsurf.words import MAX_TRACE, WordClass, enumerate_classes_by_trace
+from randsurf.words import MAX_TRACE, WordClass, check_classes, check_half_count
+from randsurf.words import enumerate_classes_by_trace
 
 MODES = ("exact", "log")
 
 
 def p_k_n(k: int, n: int) -> Fraction:
     """Probability that k prescribed disjoint pairs all lie in the gluing."""
+    k, n = index(k), check_half_count(n)
     if not 0 <= k <= 3 * n:
         raise ValueError(f"need 0 <= k <= 3N, got k={k}, N={n}")
     den = 1
@@ -64,6 +67,7 @@ def p_k_n(k: int, n: int) -> Fraction:
 
 def a_k_n(k: int, n: int) -> int:
     """Number of k-step side sequences through k distinct triangles."""
+    k, n = index(k), check_half_count(n)
     if not 0 <= k <= 2 * n:
         raise ValueError(f"need 0 <= k <= 2N, got k={k}, N={n}")
     return 3**k * perm(2 * n, k)
@@ -135,18 +139,12 @@ def _word_sigmas(classes: Sequence[WordClass], n: int, m_w: int) -> dict[int, Si
     return out
 
 
-def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple[int, int]:
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    if not classes:
-        return 0, 0
+def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple:
+    classes, n = check_classes(classes), check_half_count(n)
     m_w = max(c.word_length for c in classes)
-    c_w = max(c.class_size for c in classes)
     if m_w > n:
         raise ValueError(f"bound requires m_W <= N, got m_W={m_w}, N={n}")
-    if len({c.canonical for c in classes}) != len(classes):
-        raise ValueError("duplicate classes in W")
-    return m_w, c_w
+    return classes, n, m_w, max(c.class_size for c in classes)
 
 
 def _class_sigmas(classes: Sequence[WordClass], n: int, m_w: int) -> dict[WordClass, SigmaSet]:
@@ -164,14 +162,14 @@ def sigma_word_bounds(
 ) -> dict[WordClass, SigmaSet]:
     """Unscaled per-representative sigma values (before the lam factors)."""
     viewer = _viewer(mode)
-    m_w, _ = _check_class_set(classes, n)
+    classes, n, m_w, _ = _check_class_set(classes, n)
     word = _word_sigmas(classes, n, m_w)
     return {c: SigmaSet(*map(viewer, word[c.word_length])) for c in classes}
 
 
 def simplified_sigma_bounds(classes: Sequence[WordClass], n: int) -> SigmaSet:
     """Closed forms that dominate the word-level sums for every w in W."""
-    m_w, c_w = _check_class_set(classes, n)
+    classes, n, m_w, c_w = _check_class_set(classes, n)
     card = len(classes)
     six_fifths = Fraction(6, 5)
     s1 = six_fifths * Fraction(1 + (3 * m_w) ** (m_w + 1), n)
@@ -182,8 +180,7 @@ def simplified_sigma_bounds(classes: Sequence[WordClass], n: int) -> SigmaSet:
 
 
 def theorem_bound_value(card: int, m_w: int, n: int) -> Fraction:
-    if card == 0:
-        return Fraction(0)
+    card, m_w, n = index(card), index(m_w), check_half_count(n)
     if m_w > n:
         raise ValueError(f"bound requires m_W <= N, got m_W={m_w}, N={n}")
     return Fraction(18 * card**3 * (6 * m_w) ** (3 * m_w + 4), n)
@@ -192,7 +189,7 @@ def theorem_bound_value(card: int, m_w: int, n: int) -> Fraction:
 def main_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     """Closed-form distance bound 18 |W|^3 (6 m_W)^(3 m_W + 4) / N."""
     viewer = _viewer(mode)
-    m_w, _ = _check_class_set(classes, n)
+    classes, n, m_w, _ = _check_class_set(classes, n)
     return viewer(theorem_bound_value(len(classes), m_w, n))
 
 
@@ -203,7 +200,7 @@ def _refined(sigma: dict[WordClass, SigmaSet]) -> Fraction:
 def refined_mtv_bound(classes: Sequence[WordClass], n: int, mode: str = "exact"):
     """3 times the sum of all class-level sigma values."""
     viewer = _viewer(mode)
-    m_w, _ = _check_class_set(classes, n)
+    classes, n, m_w, _ = _check_class_set(classes, n)
     return viewer(_refined(_class_sigmas(classes, n, m_w)))
 
 
@@ -215,6 +212,7 @@ def admissible_trace_for_n(n: int, tol) -> int | None:
     it also stops at MAX_TRACE, the largest trace the census covers, so
     a huge N yields MAX_TRACE rather than the true (larger) maximum.
     """
+    n = check_half_count(n)
     if n < 2:
         raise ValueError(f"N must be >= 2, got {n}")
     tol = Fraction(tol)
@@ -245,11 +243,11 @@ class BoundReport(NamedTuple):
 
 def bound_report(classes: Sequence[WordClass], n: int) -> BoundReport:
     """The exact bounds for W at N: class-level sigmas, refined and main."""
-    m_w, c_w = _check_class_set(classes, n)
+    classes, n, m_w, c_w = _check_class_set(classes, n)
     sigma = _class_sigmas(classes, n, m_w)
     return BoundReport(
         half_count=n,
-        classes=tuple(classes),
+        classes=classes,
         card=len(classes),
         m_w=m_w,
         c_w=c_w,

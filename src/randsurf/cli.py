@@ -220,7 +220,7 @@ def _bounds_payload(report: BoundReport) -> dict:
         )
         for c, s in report.sigma.items()
     }
-    shown = report.card and report.half_count <= _EXACT_N_LIMIT and report.m_w <= _EXACT_LEN_LIMIT
+    shown = report.half_count <= _EXACT_N_LIMIT and report.m_w <= _EXACT_LEN_LIMIT
     return _record(
         [
             ("card", report.card),
@@ -233,7 +233,7 @@ def _bounds_payload(report: BoundReport) -> dict:
             ("main_clamped", float(min(1, main))),
             ("refined_le_main", refined <= main),
             ("refined_exact", str(refined) if shown else None),
-            ("main_exact", str(main) if report.card else None),
+            ("main_exact", str(main)),
         ]
     )
 

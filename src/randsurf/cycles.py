@@ -50,6 +50,7 @@ from randsurf.gluing import Gluing, _next_arrays, block_rows
 from randsurf.words import (
     WordClass,
     canonicalize,
+    check_classes,
     enumerate_classes_by_length,
     word_period,
 )
@@ -185,11 +186,9 @@ def block_counter(
 def count_vector(g: Gluing, classes: Sequence[WordClass]) -> dict[WordClass, int]:
     """Z_[w] for the requested classes, in the requested order.
 
-    The one-row call of block_counter.
+    The one-row call of block_counter, after words.check_classes.
     """
-    classes = tuple(classes)
-    if len(set(classes)) != len(classes):  # the counts are keyed by class
-        raise ValueError("duplicate classes")
+    classes = check_classes(classes)
     counts = block_counter(g.half_count, classes)(g.partner[None])[0]
     return dict(zip(classes, counts.tolist()))
 

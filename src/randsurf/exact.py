@@ -41,7 +41,7 @@ import numpy as np
 from randsurf.cycles import block_counter
 from randsurf.dists import product_poisson_on, tv_distance
 from randsurf.gluing import Gluing, block_rows
-from randsurf.words import WordClass
+from randsurf.words import WordClass, check_classes, check_half_count
 
 MAX_EXACT_N = 5
 MAX_ENUMERATED_N = 2  # every gluing one by one: 10395 at N = 2
@@ -142,16 +142,12 @@ def exact_joint_distribution(
 ) -> ExactSystem:
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"the exact oracle supports 1 <= N <= {MAX_EXACT_N}")
-    if not classes:
-        raise ValueError("need at least one class")
-    if len(set(classes)) != len(classes):  # count vectors are keyed by class
-        raise ValueError("duplicate classes")
+    classes, n = check_classes(classes), check_half_count(n)
     if max(c.word_length for c in classes) > MAX_EXACT_WORD_LENGTH:
         raise ValueError(f"exact system limited to words of length {MAX_EXACT_WORD_LENGTH}")
     if dps < 50:
         raise ValueError("use at least 50 digits for the exact distance")
 
-    classes = tuple(classes)
     # components have an even number of triangles; laws[m // 2] is a_m
     laws = [Counter({(0,) * len(classes): 1})]
     connected = []

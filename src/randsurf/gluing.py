@@ -34,13 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-
-def _check_half_count(n: int) -> int:
-    """N as an int; anything but an integer >= 1 raises."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    return n
+from randsurf.words import check_half_count
 
 
 @lru_cache(maxsize=64)
@@ -74,7 +68,7 @@ class Gluing:
     partner: np.ndarray
 
     def __post_init__(self):
-        n = _check_half_count(self.half_count)
+        n = check_half_count(self.half_count)
         object.__setattr__(self, "half_count", n)
         p = np.asarray(self.partner)
         if p.dtype.kind not in "iu":
@@ -93,7 +87,7 @@ class Gluing:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Gluing":
-        n = _check_half_count(n)
+        n = check_half_count(n)
         partner = np.zeros(6 * n + 1, dtype=np.int64)
         for a, b in pairs:
             a, b = operator.index(a), operator.index(b)
@@ -289,7 +283,7 @@ def _partner_block(n: int, seed: int, block: int) -> np.ndarray:
 
 def _checked_key(n: int, seed: int, index: int) -> tuple[int, int, int]:
     """(N, seed, index) as ints, for a valid N and nonnegative seed and index."""
-    n = _check_half_count(n)
+    n = check_half_count(n)
     seed, index = operator.index(seed), operator.index(index)
     if seed < 0 or index < 0:
         raise ValueError("seed and index must be nonnegative integers")

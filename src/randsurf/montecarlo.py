@@ -59,7 +59,7 @@ from randsurf.gluing import (
     sampled_block,
     topology,
 )
-from randsurf.words import WordClass
+from randsurf.words import WordClass, check_classes, check_half_count
 
 # the fixed work unit, independent of the worker count: every block_rows(N)
 # divides the sampler's seed block, so a chunk starts on a block start at every N
@@ -76,18 +76,12 @@ class ExperimentPlan:
     with_topology: bool = True
 
     def __post_init__(self):
-        # a float raises TypeError here; a numpy integer is stored as int
-        for name in ("half_count", "samples", "seed", "workers"):
+        object.__setattr__(self, "half_count", check_half_count(self.half_count))
+        object.__setattr__(self, "classes", check_classes(self.classes))
+        for name in ("samples", "seed", "workers"):
             object.__setattr__(self, name, index(getattr(self, name)))
-        if self.half_count < 1 or self.samples < 1 or self.seed < 0:
-            raise ValueError("need N >= 1, samples >= 1, seed >= 0")
-        if not self.classes:
-            raise ValueError("need at least one class")
-        # count vectors are keyed by class
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("duplicate classes")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.samples < 1 or self.seed < 0 or self.workers < 1:
+            raise ValueError("need samples >= 1, seed >= 0, workers >= 1")
 
 
 @dataclass
@@ -115,7 +109,7 @@ def _run_chunk(plan: ExperimentPlan, start: int, stop: int) -> Tallies:
     t = Tallies()
     n = plan.half_count
     rows = block_rows(n)
-    count = block_counter(n, tuple(plan.classes))
+    count = block_counter(n, plan.classes)
     for first in range(start, stop, rows):
         indices = range(first, min(first + rows, stop))
         gluings = [sample_uniform_gluing(n, plan.seed, i) for i in indices]

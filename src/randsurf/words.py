@@ -19,10 +19,11 @@ representative) and about a factor m cheaper.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 ALPHABET = "LR"
 _SWAP = str.maketrans("LR", "RL")
@@ -38,6 +39,24 @@ def check_word(word: str) -> None:
         raise ValueError("word must be nonempty")
     if any(ch not in ALPHABET for ch in word):
         raise ValueError(f"word must use letters L and R only, got {word!r}")
+
+
+def check_classes(classes: Iterable[WordClass]) -> tuple[WordClass, ...]:
+    """The class-set rule: W as a tuple; an empty W or a canonical word twice raises."""
+    classes = tuple(classes)
+    if not classes:
+        raise ValueError("need at least one class")
+    if len({c.canonical for c in classes}) != len(classes):
+        raise ValueError("duplicate classes")
+    return classes
+
+
+def check_half_count(n: int) -> int:
+    """The rule for N: N as an int; anything but an integer >= 1 raises."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

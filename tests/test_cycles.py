@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from randsurf.cycles import (
     count_vector,
 )
 from randsurf.exact import enumerate_all_gluings
-from randsurf.gluing import Gluing, block_rows, sample_uniform_gluing, sampled_block
+from randsurf.gluing import Gluing, block_rows, sample_uniform_gluing, sampled_block, topology
 from randsurf.words import (
     canonicalize,
     enumerate_classes_by_length,
@@ -199,7 +200,10 @@ def test_step_arrays_are_built_once_per_gluing():
 
 
 def test_no_classes_count_to_empty_rows(torus_gluing):
-    assert count_vector(torus_gluing, []) == {}
+    # count_vector takes W through words.check_classes, which refuses an
+    # empty W; the counter itself still counts no classes to empty rows
+    with pytest.raises(ValueError, match="need at least one class"):
+        count_vector(torus_gluing, [])
     block = np.stack([torus_gluing.partner] * 3)
     assert cycles.block_counter(1, ())(block).shape == (3, 0)
 
@@ -290,3 +294,88 @@ def test_interleaved_full_and_one_row_blocks_match_fresh_counters(n):
     for block in (full, full[3:4], full, full[:1], full[rows - 1 :], full):
         fresh = cycles.block_counter.__wrapped__(n, classes)
         assert count(block).tolist() == fresh(block).tolist()
+
+
+def _blocks(gluings, n):
+    """The gluings' partner arrays, stacked in blocks of block_rows(n) rows."""
+    rows = block_rows(n)
+    for first in range(0, len(gluings), rows):
+        yield np.stack([g.partner for g in gluings[first : first + rows]])
+
+
+def _every_small_and_sampled(sampled):
+    """(N, gluings): every gluing at N <= 2, then (N, count) gluings sampled at seed 5."""
+    yield from ((n, list(enumerate_all_gluings(n))) for n in (1, 2))
+    for n, count in sampled:
+        yield n, [sample_uniform_gluing(n, 5, i) for i in range(count)]
+
+
+def test_parabolic_counts_are_sums_of_short_cusp_counts():
+    # a cusp of degree d is a closed walk of d Left turns, so with phi
+    # weights Z_[L^j] is the number of cusps whose degree divides j
+    parabolic = tuple(canonicalize("L" * j) for j in range(1, 17))
+    for n, gluings in _every_small_and_sampled([(10, 100), (100, 100), (1000, 30)]):
+        count = cycles.block_counter(n, parabolic)
+        got = np.concatenate([count(block) for block in _blocks(gluings, n)]).tolist()
+        for g, row in zip(gluings, got):
+            c = Counter(topology(g).cusp_degrees)
+            want = [sum(c[d] for d in range(1, j + 1) if j % d == 0) for j in range(1, 17)]
+            assert row == want, (n, g.pairs())
+
+
+def _nonbacktracking_traces(block: np.ndarray, kmax: int) -> list[list[int]]:
+    """tr(B^d) for d = 0..kmax of each row of a partner block, as Python ints.
+
+    B is the non-backtracking matrix of the dual cubic multigraph: 2N
+    triangles, 3N glued pairs.  Ihara-Bass gives tr(B^d) = tr P_d(A) +
+    2N [d even] from the 2N x 2N adjacency A, with P_0 = 2I, P_1 = A and
+    P_d = A P_(d-1) - 2 P_(d-2).  A M is three row gathers, one per side,
+    over the triangle across it.  The spectrum of A lies in [-3, 3], so the
+    entries of P_d(A) stay below 2^d + 1 and int64 is exact; each diagonal
+    is summed as Python ints.  The columns go 250 at a time, so that at
+    N = 1000 a matrix takes 4 MB rather than 32 MB.
+    """
+    rows, tri = len(block), (block.shape[1] - 1) // 3
+    across = ((block[:, 1:] + 2) // 3 - 1).reshape(rows, tri, 3)
+    row = np.arange(rows)[:, None]
+    traces = [[0] * (kmax + 1) for _ in range(rows)]
+    for first in range(0, tri, 250):
+        cols = np.arange(first, min(first + 250, tri))
+        diagonal = (slice(None), cols, np.arange(len(cols)))
+        eye = np.zeros((rows, tri, len(cols)), dtype=np.int64)
+        eye[diagonal] = 1
+
+        def times_a(m):
+            return sum(m[row, across[:, :, side]] for side in range(3))
+
+        older = old = None  # P_(d-2) and P_(d-1)
+        for d in range(kmax + 1):
+            new = 2 * eye if d == 0 else times_a(eye) if d == 1 else times_a(old) - 2 * older
+            older, old = old, new
+            for total, diag in zip(traces, new[diagonal].tolist()):
+                total[d] += sum(diag)
+    for total in traces:
+        for d in range(0, kmax + 1, 2):
+            total[d] += tri
+    return traces
+
+
+def test_length_sums_of_the_counter_equal_the_ihara_bass_traces():
+    # Burnside over all words of length k: the counts of the classes of
+    # length k add up to (1/2k) sum over d | k of phi(k/d) tr(B^d)
+    def phi(q):
+        return sum(1 for r in range(1, q + 1) if math.gcd(r, q) == 1)
+
+    for n, gluings in _every_small_and_sampled([(10, 20), (100, 20), (1000, 1)]):
+        kmax = 4 if n <= 2 else 10 if n <= 100 else 12
+        classes = enumerate_classes_by_length(kmax)
+        lengths = np.array([c.word_length for c in classes])
+        count = cycles.block_counter(n, classes)
+        for block in _blocks(gluings, n):
+            counts = count(block)
+            got = [counts[:, lengths == k].sum(axis=1).tolist() for k in range(1, kmax + 1)]
+            for r, t in enumerate(_nonbacktracking_traces(block, kmax)):
+                for k in range(1, kmax + 1):
+                    walks = sum(phi(k // d) * t[d] for d in range(1, k + 1) if k % d == 0)
+                    assert walks % (2 * k) == 0, (n, k)
+                    assert got[k - 1][r] == walks // (2 * k), (n, k, r)

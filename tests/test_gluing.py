@@ -589,6 +589,17 @@ def test_topology_invariant_errors_raise(torus_gluing, monkeypatch):
         topology(torus_gluing)
 
 
+def test_topology_refuses_an_odd_euler_characteristic_below_two(torus_gluing, monkeypatch):
+    # two cusps of degree 3 on the two triangles of N = 1: chi = 2 - 1 = 1,
+    # which only the parity half of the Euler check catches
+    fake = np.array([0, 2, 3, 1, 5, 6, 4])
+    monkeypatch.setattr("randsurf.gluing.vertex_permutation", lambda g: fake)
+    with pytest.raises(
+        RuntimeError, match="component Euler characteristic 1 is not even and <= 2"
+    ):
+        topology(torus_gluing)
+
+
 def test_topology_errors_name_the_component_of_least_root(monkeypatch):
     # two components break one invariant each; the one whose root, its least
     # triangle, is smaller is named, even where it is the larger component.
