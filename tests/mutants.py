@@ -3,11 +3,12 @@
 A mutant is one text replacement in one source file: the old text must
 occur in the file exactly once.  For each mutant the script copies the
 checkout's ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` to a
-fresh temporary directory, applies the replacement there, and runs only
-the mutant's killer tests, with ``pytest -x``.  The mutant is killed when
-that run reports a failing test.  Before any mutant, all the killers run
-once on an unchanged copy and must pass, so a killer that fails anyway
-kills nothing.
+fresh temporary directory, applies the replacement there, and runs each
+of the mutant's killer tests on its own, with ``pytest -x``.  The mutant is
+killed when every one of its killers reports a failing test, so a mutant
+listed with several killers checks each of them.  Before any mutant, all
+the killers run once on an unchanged copy and must pass, so a killer that
+fails anyway kills nothing.
 
 The gate fails (exit status 1) when a mutant survives, when its old text
 is not found exactly once, or when pytest ends for another reason than
@@ -16,17 +17,12 @@ passing or failing tests (a wrong test id, say).  A mutant listed with a
 digest.  It must still be killed, by its digest, but it is reported as a
 known gap and does not fail the gate.
 
-Usage, from any directory::
-
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named mutants only
-
-The file name does not match ``test_*.py``, so pytest does not collect it.
+Run it as ``python tests/mutants.py``, from any directory.  The file name
+does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -265,8 +261,13 @@ def run(mutants: list[Mutant]) -> int:
             if not _apply(checkout, mutant):
                 verdict = "OLD TEXT NOT FOUND EXACTLY ONCE"
             else:
-                code = _pytest(checkout, list(mutant.killers))
-                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"PYTEST EXIT {code}")
+                verdict = "killed"
+                for killer in mutant.killers:
+                    code = _pytest(checkout, [killer])
+                    if code != 1:
+                        verdict = {0: "SURVIVED"}.get(code, f"PYTEST EXIT {code}")
+                        verdict += f" under {killer}"
+                        break
             if verdict == "killed" and mutant.gap:
                 verdict = f"killed by a digest only, known gap: {mutant.gap}"
             elif verdict != "killed":
@@ -279,16 +280,5 @@ def run(mutants: list[Mutant]) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    return run([by_name[name] for name in args.names] or list(MUTANTS))
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(list(MUTANTS)))
