@@ -35,7 +35,9 @@ only; how a report prints them (log views, clamps, which ones also
 print exactly) is the CLI's business.  The functions' log mode
 (LogNumber) is a view of the same values, not a second evaluation.
 W and N pass words.check_classes and check_half_count, so an empty W
-is refused, and the bounds only hold under m_W <= N, a hard error.
+is refused.  The bounds only hold under m_W <= N, and out_of_range is
+the one place that compares the two: the bound functions raise its
+reason as a ValueError, and the Monte Carlo summary prints it as a note.
 """
 
 from __future__ import annotations
@@ -139,11 +141,18 @@ def _word_sigmas(classes: Sequence[WordClass], n: int, m_w: int) -> dict[int, Si
     return out
 
 
+def out_of_range(m_w: int, n: int) -> str | None:
+    """Why the bounds do not hold for a longest word m_W at N, or None if they do."""
+    if m_w > n:
+        return f"distance bounds need m_W <= N, have m_W={m_w} > N={n}"
+    return None
+
+
 def _check_class_set(classes: Sequence[WordClass], n: int) -> tuple:
     classes, n = check_classes(classes), check_half_count(n)
     m_w = max(c.word_length for c in classes)
-    if m_w > n:
-        raise ValueError(f"bound requires m_W <= N, got m_W={m_w}, N={n}")
+    if reason := out_of_range(m_w, n):
+        raise ValueError(reason)
     return classes, n, m_w, max(c.class_size for c in classes)
 
 
@@ -181,8 +190,8 @@ def simplified_sigma_bounds(classes: Sequence[WordClass], n: int) -> SigmaSet:
 
 def theorem_bound_value(card: int, m_w: int, n: int) -> Fraction:
     card, m_w, n = index(card), index(m_w), check_half_count(n)
-    if m_w > n:
-        raise ValueError(f"bound requires m_W <= N, got m_W={m_w}, N={n}")
+    if reason := out_of_range(m_w, n):
+        raise ValueError(reason)
     return Fraction(18 * card**3 * (6 * m_w) ** (3 * m_w + 4), n)
 
 
@@ -224,7 +233,7 @@ def admissible_trace_for_n(n: int, tol) -> int | None:
         m_w = census.max_word_length
         if m_w != k - 1:
             raise RuntimeError(f"longest word of trace <= {k} has length {m_w}, not {k - 1}")
-        if m_w > n or theorem_bound_value(census.count, m_w, n) > tol:
+        if out_of_range(m_w, n) or theorem_bound_value(census.count, m_w, n) > tol:
             break
         best = k
     return best

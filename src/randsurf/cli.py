@@ -15,7 +15,8 @@ value is a Fraction, and log10 next to the digits where it is a
 LogNumber.  The bound module returns exact rationals only; the report
 format (log views, clamps, which bounds also print exactly) is decided
 here.  The worker count is an execution detail and never appears in a
-report.
+report.  The oracle's config records the precision of its distance,
+randsurf.exact.DPS significant digits.
 
 Importing this module loads the words, sampler, counter, Monte Carlo
 and bound code.  The exact oracle (randsurf.exact), the worker pool
@@ -319,7 +320,7 @@ def cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 # oracle
 
 
-def exact_joint_distribution(classes: Sequence[WordClass], n: int, dps: int):
+def exact_joint_distribution(classes: Sequence[WordClass], n: int):
     """randsurf.exact.exact_joint_distribution, imported on the first oracle run.
 
     Kept as a name of this module so that benchmarks/spans.py can wrap
@@ -327,12 +328,13 @@ def exact_joint_distribution(classes: Sequence[WordClass], n: int, dps: int):
     """
     from randsurf import exact
 
-    return exact.exact_joint_distribution(classes, n, dps=dps)
+    return exact.exact_joint_distribution(classes, n)
 
 
 def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     classes = _resolve_classes(parser, args)
-    system = _or_usage(parser, exact_joint_distribution, classes, args.n, dps=args.dps)
+    system = _or_usage(parser, exact_joint_distribution, classes, args.n)
+    from randsurf.exact import DPS  # loaded by the call above
 
     joint_rows = [
         {
@@ -345,7 +347,7 @@ def cmd_oracle(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         {"word": c.canonical, "lambda_exact": str(c.lam), **_number("mean", system.exact_means[c])}
         for c in system.classes
     ]
-    config = {"n": args.n, "classes": [c.canonical for c in classes], "dps": args.dps}
+    config = {"n": args.n, "classes": [c.canonical for c in classes], "dps": DPS}
     body = {
         "gluing_count": system.gluing_count,
         "per_class": per_class,
@@ -401,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exact law over all gluings")
     oracle.add_argument("--n", type=int, required=True, metavar="N")
-    oracle.add_argument(
-        "--dps", type=int, default=60, help="significant digits of the exact distance"
-    )
     _add_selection(oracle, with_length=False)
     _add_output(oracle)
     oracle.set_defaults(func=cmd_oracle, parser=oracle)

@@ -24,7 +24,8 @@ There are 5, 60, 1105, 27120 and 828250 rooted connected gluings of 2,
 4, 6, 8 and 10 triangles.  On one core of a 2-core Xeon, N <= 3 takes
 milliseconds, N = 4 under a second and N = 5 4-7 s, most of it spent
 generating the rooted gluings; N = 6 (30220800 rooted gluings, minutes)
-is out of range.
+is out of range.  exact_mtv, the distance to the product Poisson law,
+is a Decimal to DPS significant digits.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from randsurf.words import WordClass, check_classes, check_half_count
 MAX_EXACT_N = 5
 MAX_ENUMERATED_N = 2  # every gluing one by one: 10395 at N = 2
 MAX_EXACT_WORD_LENGTH = 6
-DEFAULT_DPS = 60
+DPS = 60  # significant digits of exact_mtv, the one precision of the oracle
 
 
 def matching_count(n: int) -> int:
@@ -134,19 +135,15 @@ class ExactSystem(NamedTuple):
     classes: tuple[WordClass, ...]
     joint_law: Counter
     exact_means: dict[WordClass, Fraction]
-    exact_mtv: Decimal  # to the requested number of significant digits
+    exact_mtv: Decimal  # to DPS significant digits
 
 
-def exact_joint_distribution(
-    classes: Sequence[WordClass], n: int, dps: int = DEFAULT_DPS
-) -> ExactSystem:
+def exact_joint_distribution(classes: Sequence[WordClass], n: int) -> ExactSystem:
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"the exact oracle supports 1 <= N <= {MAX_EXACT_N}")
     classes, n = check_classes(classes), check_half_count(n)
     if max(c.word_length for c in classes) > MAX_EXACT_WORD_LENGTH:
         raise ValueError(f"exact system limited to words of length {MAX_EXACT_WORD_LENGTH}")
-    if dps < 50:
-        raise ValueError("use at least 50 digits for the exact distance")
 
     # components have an even number of triangles; laws[m // 2] is a_m
     laws = [Counter({(0,) * len(classes): 1})]
@@ -165,10 +162,8 @@ def exact_joint_distribution(
     if total != matching_count(n):
         raise RuntimeError(f"counted {total} gluings, expected {matching_count(n)}")
 
-    reference = product_poisson_on(
-        [c.lam for c in classes], sorted(law_counts), precision=dps
-    )
-    with localcontext(Context(prec=dps)):
+    reference = product_poisson_on([c.lam for c in classes], sorted(law_counts), precision=DPS)
+    with localcontext(Context(prec=DPS)):
         mtv = tv_distance(law_counts, reference)
     return ExactSystem(
         half_count=n,

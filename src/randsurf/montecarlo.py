@@ -48,7 +48,7 @@ from itertools import combinations
 from operator import index, mul
 from typing import NamedTuple, Sequence
 
-from randsurf.bounds import BoundReport, bound_report
+from randsurf.bounds import BoundReport, bound_report, out_of_range
 from randsurf.cycles import block_counter
 from randsurf.dists import product_poisson_on, tv_distance, tv_standard_error
 from randsurf.gluing import (
@@ -222,7 +222,8 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
     Means, variances and covariances are exact sums over tallies.joint.
     Each distance compares a histogram, the joint one or a class's
     marginal (built in one pass over the joint), with a float product
-    Poisson on its own sorted support.
+    Poisson on its own sorted support.  The bounds are bound_report's,
+    unless bounds.out_of_range gives a reason, which becomes the note.
     """
     joint = tallies.joint
     m = sum(joint.values())
@@ -277,13 +278,8 @@ def summarize(plan: ExperimentPlan, tallies: Tallies) -> StatsReport:
         pairs.append(PairSummary(classes[i], classes[j], cov, se))
 
     joint_ref = product_poisson_on(lambdas, sorted(joint))
-    report_bounds = None
-    note = None
-    m_w = max(c.word_length for c in classes)
-    if m_w <= plan.half_count:
-        report_bounds = bound_report(classes, plan.half_count)
-    else:
-        note = f"distance bounds need m_W <= N, have m_W={m_w} > N={plan.half_count}"
+    note = out_of_range(max(c.word_length for c in classes), plan.half_count)
+    report_bounds = None if note else bound_report(classes, plan.half_count)
 
     topo = None
     if plan.with_topology:

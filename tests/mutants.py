@@ -80,7 +80,15 @@ MUTANTS = (
             "tests/test_gluing.py::test_next_arrays_are_cached_and_read_only",
             "tests/test_gluing.py::test_side_navigation",
             "tests/test_gluing.py::test_torus_vertex_orbit",
+            "tests/test_cycles.py::test_counts_of_chiral_classes_follow_the_documented_handedness",
         ),
+    ),
+    Mutant(
+        "burnside_remainder_unchecked",
+        "src/randsurf/cycles.py",
+        "if np.count_nonzero(rest):",
+        "if False:",
+        ("tests/test_cycles.py::test_indivisible_burnside_sum_raises",),
     ),
     Mutant(
         "seed_pool_ignores_long_seeds",
@@ -144,6 +152,20 @@ MUTANTS = (
         "Fraction(m_w**2 * (base + extra) ** 2, n * d * d)",
         "Fraction(m_w * (base + extra) ** 2, n * d * d)",
         ("tests/test_bounds.py::test_sums_per_length_equal_the_term_by_term_reference",),
+    ),
+    Mutant(
+        "range_rule_at_the_boundary",
+        "src/randsurf/bounds.py",
+        "    if m_w > n:\n",
+        "    if m_w >= n:\n",
+        ("tests/test_bounds.py::test_one_range_rule_for_the_bounds_and_the_stats_note",),
+    ),
+    Mutant(
+        "oracle_digits_fifty",
+        "src/randsurf/exact.py",
+        "DPS = 60",
+        "DPS = 50",
+        ("tests/test_dists.py::test_exact_mtv_is_a_decimal_at_the_requested_digits[60]",),
     ),
     Mutant(
         "tv_without_tail_mass",

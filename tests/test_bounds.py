@@ -20,6 +20,7 @@ from randsurf.bounds import (
     theorem_bound_value,
 )
 from randsurf.lognum import LogNumber
+from randsurf.montecarlo import ExperimentPlan, run_plan, summarize
 from randsurf.words import canonicalize, enumerate_classes_by_length, enumerate_classes_by_trace
 
 
@@ -216,6 +217,26 @@ def test_hypothesis_guard():
         main_bound(classes, 2)
     with pytest.raises(ValueError):
         theorem_bound_value(1, 3, 2)
+
+
+def test_one_range_rule_for_the_bounds_and_the_stats_note(lr, llr):
+    # m_W = 3 for W = (LR, LLR), so N = 3 is the smallest N the bounds cover
+    def summary(n):
+        plan = ExperimentPlan(
+            half_count=n, classes=(lr, llr), samples=20, seed=0, with_topology=False
+        )
+        return summarize(plan, run_plan(plan))
+
+    covered = summary(3)
+    assert covered.bounds == bound_report((lr, llr), 3)
+    assert covered.bounds_note is None
+    refused = summary(2)
+    assert refused.bounds is None
+    assert refused.bounds_note == "distance bounds need m_W <= N, have m_W=3 > N=2"
+    for call in (lambda: bound_report((lr, llr), 2), lambda: theorem_bound_value(2, 3, 2)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == refused.bounds_note
 
 
 def test_duplicate_classes_rejected():

@@ -144,7 +144,7 @@ def test_empty_classes_is_a_usage_error(command, capsys):
         ["words", "--max-trace", "2"],
         ["stats", "--n", "2", "--samples", "10", "--classes", "LX"],
         ["bound", "--n", "2", "--classes", "LLR"],
-        ["oracle", "--n", "1", "--max-trace", "4", "--dps", "10"],
+        ["oracle", "--n", "6", "--max-trace", "4"],
     ],
     ids=lambda command: command[0],
 )
@@ -306,8 +306,9 @@ def test_oracle_gates(capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --allow-n3" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "--n", "1", "--classes", "LR", "--dps", "10"])
+        main(["oracle", "--n", "1", "--classes", "LR", "--dps", "60"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --dps 60" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -379,3 +379,42 @@ def test_length_sums_of_the_counter_equal_the_ihara_bass_traces():
                     walks = sum(phi(k // d) * t[d] for d in range(1, k + 1) if k % d == 0)
                     assert walks % (2 * k) == 0, (n, k)
                     assert got[k - 1][r] == walks // (2 * k), (n, k, r)
+
+
+def _walk_fixed_points(g: Gluing, word: str) -> int:
+    """Fix(word): the sides to which the walk along word comes back.
+
+    The turns are those of gluing's docstring: a Left turn goes
+    3i-2 -> 3i-1 -> 3i -> 3i-2 inside triangle i and a Right turn goes
+    the other way.  The walk does not read the gluing's turn tables.
+    """
+    left, right = {}, {}
+    for i in range(1, 2 * g.half_count + 1):
+        cycle = (3 * i - 2, 3 * i - 1, 3 * i)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            left[a], right[b] = b, a
+    turns = {"L": left, "R": right}
+    partner = g.partner.tolist()
+    fixed = 0
+    for start in range(1, 6 * g.half_count + 1):
+        side = start
+        for turn in word:
+            side = partner[turns[turn][side]]
+        fixed += side == start
+    return fixed
+
+
+def test_counts_of_chiral_classes_follow_the_documented_handedness():
+    # swapping Left and Right turns Z_[w] into Z_[mirror w], which only a
+    # class unequal to its mirror can notice; every chiral class of length
+    # <= 8 is primitive, so Z_[w] = |[w]| Fix(w) / (2|w|) with one walk of w
+    chiral = [c for c in enumerate_classes_by_length(8) if c.mirror_class() != c]
+    assert len(chiral) == 12 and all(c.primitive for c in chiral)
+    for n in (3, 10):
+        for i in range(30):
+            g = sample_uniform_gluing(n, 5, i)
+            expected = {
+                c: c.class_size * _walk_fixed_points(g, c.canonical) // (2 * c.word_length)
+                for c in chiral
+            }
+            assert count_vector(g, chiral) == expected, (n, i)

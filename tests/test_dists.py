@@ -255,9 +255,10 @@ def test_decimal_tv_against_an_exact_law_matches_mpmath(rates, digits):
     _agrees(tv, _mp_tv(law, rates, digits), digits)
 
 
-@pytest.mark.parametrize("digits", [60, 200])
+# the oracle's one precision, exact.DPS, written out so that a change of it fails
+@pytest.mark.parametrize("digits", [60])
 def test_exact_mtv_is_a_decimal_at_the_requested_digits(lr, llr, digits):
-    system = exact_joint_distribution([lr, llr], 2, dps=digits)
+    system = exact_joint_distribution([lr, llr], 2)
     rates = [c.lam for c in system.classes]
     _agrees(system.exact_mtv, _mp_tv(system.joint_law, rates, digits), digits)
 

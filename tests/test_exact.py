@@ -197,13 +197,6 @@ def test_exact_mtv_shrinks_from_n1_to_n2(lr):
     assert float(d2) < float(d1)
 
 
-def test_precision_guard(lr):
-    with pytest.raises(ValueError):
-        exact_joint_distribution([lr], 1, dps=10)
-    with pytest.raises(ValueError, match="duplicate"):
-        exact_joint_distribution([lr, lr], 1)
-
-
 def containment_probability(sides: tuple[int, ...], word: str, n: int) -> Fraction:
     """P[the cycle blueprint (sides, word) lies in a uniform gluing].
 
